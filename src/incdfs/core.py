@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import index, length_hint
 
 import numpy as np
 
@@ -31,7 +32,8 @@ class Counters:
     """Instrumentation shared by all algorithms.
 
     edges_processed is the platform-independent cost metric: adjacency
-    entries examined during rebuilds plus one per inserted edge.  In
+    entries examined during rebuilds plus, in the incremental maintainers,
+    one per inserted edge (sdfs and sdfs-int charge only their DFS).  In
     undirected traversals each edge is charged once even though it sits in
     two adjacency lists.  Tree bookkeeping (depth fixups, LCA walks) is
     deliberately not metered.
@@ -97,6 +99,17 @@ class Graph:
         return self._key(u, v) in self._eindex
 
     def add_edge(self, u: int, v: int):
+        """Add real edge (u, v), or raise GraphError and change nothing.
+
+        Endpoints are normalised with operator.index before any state is
+        touched, so numpy ints are stored as Python ints and a non-integer
+        endpoint cannot leave a half-registered edge behind.
+        """
+        try:
+            u = index(u)
+            v = index(v)
+        except TypeError:
+            raise GraphError(f"non-integer endpoint in ({u!r},{v!r})") from None
         self._check(u, v)
         key = self._key(u, v)
         if key in self._eindex:
@@ -269,97 +282,91 @@ def static_dfs(
     counters: Counters | None = None,
     interrupt: bool = False,
 ) -> DfsTree:
-    """Full DFS from start over the (optionally induced) graph.
+    """Full DFS of the graph from the pseudo root.
 
     Children are appended in adjacency-scan order and dfn is assigned in
     post-order, so the result is deterministic for a fixed adjacency order.
-    With interrupt=True the scan stops once every reachable-target vertex is
-    visited (the naive-with-interrupt baseline); the tree built so far plus
-    remaining discovery is completed without further edge scans being
-    charged -- the traversal simply stops, leaving unvisited vertices out.
+    With interrupt=True the scan stops as soon as the last vertex is
+    discovered (the naive-with-interrupt baseline); the vertices still on
+    the stack then finish in stack order, which yields the same tree and
+    dfn as the full DFS.
 
-    counters, when given, receives edges_processed charges: one per scanned
-    out-entry (directed) or one per edge (undirected; the second scan of an
-    edge from its other endpoint is free).
+    start and restrict_to are positional slots only: the DFS always runs
+    from ROOT over the whole graph, and any other value raises GraphError.
+
+    counters, when given, receives the edges_processed charge: one per
+    scanned out-entry (directed) or one per edge (undirected; the second
+    scan of an edge, from its other endpoint, is free).  A full DFS scans
+    every entry, so it charges exactly n + m in both modes.  An interrupted
+    DFS charges only the entries it reached: a directed one n + m minus the
+    entries left in the iterators on the stack, an undirected one n tree
+    edges plus the back edges scanned from their descendant end.
     """
+    if start != ROOT or restrict_to is not None:
+        raise GraphError("static_dfs runs from the pseudo root over the whole graph")
     n = graph.n
-    if not (0 <= start <= n):
-        raise GraphError(f"unknown vertex {start}")
-    if restrict_to is not None and start not in restrict_to:
-        raise GraphError("start outside restriction")
     tree = DfsTree(n)
     parent = tree.parent
     depth = tree.depth
     dfn = tree.dfn
     children = tree.children
-    for v in range(n + 1):
-        parent[v] = -2
-        depth[v] = -1
-    parent[start] = -1
-    depth[start] = 0
     adj = graph.out_adj
-    directed = graph.directed
-    # state: 0 unvisited, 1 active, 2 finished
-    state = bytearray(n + 1)
-    if restrict_to is not None:
-        allowed = bytearray(n + 1)
-        for v in restrict_to:
-            allowed[v] = 1
-        target = sum(allowed)
-    else:
-        allowed = None
-        target = n + 1
-    state[start] = 1
-    visited = 1
+    count_back = interrupt and not graph.directed
+    # False: unvisited, True: visited.  Only the undirected interrupted DFS
+    # must tell finished vertices from those on the stack; there they turn 2.
+    state = [False] * (n + 1)
+    state[ROOT] = True
+    finished = 2 if count_back else True
+    verts = [ROOT]
+    its = [iter(adj[ROOT])]
+    push_v = verts.append
+    push_it = its.append
+    pop_v = verts.pop
+    pop_it = its.pop
+    left = n
+    d = 0
     rank = 1
-    scanned = 0
-    stack = [(start, iter(adj[start]))]
-    push = stack.append
-    pop = stack.pop
-    done = False
-    while stack:
-        u, it = stack[-1]
-        advanced = False
-        for w in it:
-            if allowed is not None and not allowed[w]:
-                continue
-            st = state[w]
-            if directed:
-                scanned += 1
-            elif st == 0 or (st == 1 and parent[u] != w):
-                # undirected: charge each edge once -- at discovery, or at
-                # the first (descendant-side) scan of a back edge
-                scanned += 1
-            if st == 0:
-                state[w] = 1
+    back = 0
+    while its:
+        u = verts[-1]
+        pu = parent[u]
+        for w in its[-1]:
+            if not state[w]:
+                state[w] = True
                 parent[w] = u
-                depth[w] = depth[u] + 1
+                d += 1
+                depth[w] = d
                 children[u].append(w)
-                visited += 1
-                push((w, iter(adj[w])))
-                advanced = True
-                if interrupt and visited == target:
-                    done = True
+                push_v(w)
+                push_it(iter(adj[w]))
+                left -= 1
                 break
-        if done:
-            break
-        if not advanced:
-            pop()
-            state[u] = 2
+            elif count_back and state[w] is True and w != pu:
+                # a back edge seen from its descendant end: its first scan
+                back += 1
+        else:
+            pop_v()
+            pop_it()
+            state[u] = finished
             dfn[u] = rank
             rank += 1
-    if done:
-        # assign post-order ranks to the partially finished stack so dfn
-        # stays a permutation of the visited set
-        while stack:
-            u, _ = pop()
-            if state[u] == 1:
-                state[u] = 2
-                dfn[u] = rank
-                rank += 1
-    tree.dfn_valid = restrict_to is None and start == ROOT
+            d -= 1
+            continue
+        if interrupt and not left:
+            break
+    charge = n + graph.m
+    if its:
+        # interrupted: charge what was reached, then finish the stack
+        if count_back:
+            charge = n + back
+        else:
+            charge -= sum(map(length_hint, its))
+        for u in reversed(verts):
+            dfn[u] = rank
+            rank += 1
+    tree.dfn_valid = True
     if counters is not None:
-        counters.edges_processed += scanned
+        counters.edges_processed += charge
     return tree
 
 

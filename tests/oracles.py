@@ -7,7 +7,7 @@ the package's Tarjan pass.
 """
 import random
 
-from incdfs.core import ROOT, EdgeClass, Graph
+from incdfs.core import ROOT, DfsTree, EdgeClass, Graph
 
 
 def ancestor_set(tree, v):
@@ -110,3 +110,71 @@ def tree_from_parents(n, parents, child_order=None):
         t.depth[v] = depth_of(v)
     t.recompute_dfn()
     return t
+
+
+def reference_static_dfs(graph, interrupt=False):
+    """Static DFS that charges edges_processed one scan at a time: the
+    reference for core.static_dfs, which charges a full DFS in closed form.
+    Returns (tree, charge).
+    """
+    n = graph.n
+    tree = DfsTree(n)
+    parent = tree.parent
+    depth = tree.depth
+    dfn = tree.dfn
+    children = tree.children
+    for v in range(n + 1):
+        parent[v] = -2
+        depth[v] = -1
+    parent[ROOT] = -1
+    depth[ROOT] = 0
+    adj = graph.out_adj
+    directed = graph.directed
+    # state: 0 unvisited, 1 active, 2 finished
+    state = bytearray(n + 1)
+    target = n + 1
+    state[ROOT] = 1
+    visited = 1
+    rank = 1
+    scanned = 0
+    stack = [(ROOT, iter(adj[ROOT]))]
+    done = False
+    while stack:
+        u, it = stack[-1]
+        advanced = False
+        for w in it:
+            st = state[w]
+            if directed:
+                scanned += 1
+            elif st == 0 or (st == 1 and parent[u] != w):
+                # undirected: charge each edge once -- at discovery, or at
+                # the first (descendant-side) scan of a back edge
+                scanned += 1
+            if st == 0:
+                state[w] = 1
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                children[u].append(w)
+                visited += 1
+                stack.append((w, iter(adj[w])))
+                advanced = True
+                if interrupt and visited == target:
+                    done = True
+                break
+        if done:
+            break
+        if not advanced:
+            stack.pop()
+            state[u] = 2
+            dfn[u] = rank
+            rank += 1
+    if done:
+        # post-order ranks for the vertices still on the stack
+        while stack:
+            u, _ = stack.pop()
+            if state[u] == 1:
+                state[u] = 2
+                dfn[u] = rank
+                rank += 1
+    tree.dfn_valid = True
+    return tree, scanned

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from incdfs.adfs import ADFS2
 from incdfs.core import (
     ROOT,
     Counters,
@@ -21,6 +23,7 @@ from oracles import (
     brute_lca,
     postorder_ranks,
     random_graph,
+    reference_static_dfs,
     tree_from_parents,
 )
 
@@ -71,6 +74,23 @@ class TestGraph:
             (3, 4),
             (4, 5),
         ]
+
+    def test_non_integer_endpoint_changes_nothing(self):
+        algo = ADFS2(5)
+        with pytest.raises(GraphError):
+            algo.insert(1.0, 2)
+        g = algo.graph
+        assert not g.has_edge(1, 2)
+        assert g.m == 0 and g.real_edges() == []
+        assert g.out_adj[1] == [ROOT] and g.out_adj[2] == [ROOT]
+        assert algo.insert(1, 2)
+        assert g.out_adj[1] == [ROOT, 2] and g.m == 1
+
+    def test_numpy_endpoints_stored_as_python_ints(self):
+        g = Graph(4, directed=True)
+        g.add_edge(np.int64(1), np.int32(3))
+        assert g.has_edge(1, 3)
+        assert type(g.out_adj[1][-1]) is int and type(g.in_adj[3][-1]) is int
 
 
 class TestStaticDfs:
@@ -132,6 +152,32 @@ class TestStaticDfs:
             c = Counters()
             static_dfs(g, counters=c)
             assert c.edges_processed == g.m + g.n
+
+    @given(
+        st.integers(1, 40),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 0.5),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, n, density, removed, directed, interrupt, seed):
+        pairs = n * (n - 1) // (1 if directed else 2)
+        g = random_graph(n, round(density * pairs), seed, directed=directed)
+        # the closed-form charge must also hold after Graph.remove_edge
+        rng = random.Random(seed)
+        for u, v in rng.sample(g.real_edges(), round(removed * g.m)):
+            g.remove_edge(u, v)
+        ref, charge = reference_static_dfs(g, interrupt=interrupt)
+        c = Counters()
+        t = static_dfs(g, counters=c, interrupt=interrupt)
+        assert t.parent == ref.parent
+        assert t.children == ref.children
+        assert t.depth == ref.depth
+        assert t.dfn == ref.dfn
+        assert t.dfn_valid == ref.dfn_valid
+        assert c.edges_processed == charge
 
 
 class TestClassifyEdge:

@@ -3,6 +3,7 @@ import pytest
 from incdfs.core import is_valid_dfs_tree
 from incdfs.generators import gen_gnm
 from incdfs.sdfs import SDFS, SDFSInt
+from oracles import reference_static_dfs
 
 
 @pytest.mark.parametrize("algo_cls", [SDFS, SDFSInt])
@@ -13,6 +14,23 @@ def test_tree_valid_after_every_insertion(algo_cls, mode):
     for u, v in seq.edges:
         algo.insert(u, v)
         assert is_valid_dfs_tree(algo.graph, algo.tree).ok
+
+
+@pytest.mark.parametrize("algo_cls, interrupt", [(SDFS, False), (SDFSInt, True)])
+@pytest.mark.parametrize("mode", ["undirected", "directed"])
+def test_every_rebuild_matches_reference(algo_cls, interrupt, mode):
+    for seed in range(3):
+        seq = gen_gnm(30, 150, seed=seed, mode=mode)
+        algo = algo_cls(seq.n, directed=seq.directed)
+        for u, v in seq.edges:
+            before = algo.counters.edges_processed
+            algo.insert(u, v)
+            ref, charge = reference_static_dfs(algo.graph, interrupt=interrupt)
+            t = algo.tree
+            assert t.parent == ref.parent and t.children == ref.children
+            assert t.depth == ref.depth and t.dfn == ref.dfn
+            assert t.dfn_valid == ref.dfn_valid
+            assert algo.counters.edges_processed - before == charge
 
 
 def test_interrupt_builds_identical_tree():
