@@ -35,7 +35,8 @@ class IncrementalDfs:
         """
         if u == v or self.graph.has_edge(u, v):
             return False
-        self.graph.add_edge(u, v)
+        # the maintainers see the graph's normalised endpoints: Python ints
+        u, v = self.graph.add_edge(u, v)
         self.counters.insertions += 1
         self._apply(u, v)
         return True
@@ -48,9 +49,8 @@ class IncrementalDfs:
         for u, v in edges:
             if u == v or self.graph.has_edge(u, v):
                 continue
-            self.graph.add_edge(u, v)
+            fresh.append(self.graph.add_edge(u, v))
             self.counters.insertions += 1
-            fresh.append((u, v))
         if fresh:
             self._apply_batch(fresh)
         return len(fresh)

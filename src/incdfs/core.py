@@ -99,11 +99,12 @@ class Graph:
         return self._key(u, v) in self._eindex
 
     def add_edge(self, u: int, v: int):
-        """Add real edge (u, v), or raise GraphError and change nothing.
+        """Add real edge (u, v) and return it normalised, or raise
+        GraphError and change nothing.
 
         Endpoints are normalised with operator.index before any state is
-        touched, so numpy ints are stored as Python ints and a non-integer
-        endpoint cannot leave a half-registered edge behind.
+        touched, so numpy ints are stored (and returned) as Python ints and
+        a non-integer endpoint cannot leave a half-registered edge behind.
         """
         try:
             u = index(u)
@@ -126,6 +127,7 @@ class Graph:
             self.in_adj[v].append(u)
         else:
             self.out_adj[v].append(u)
+        return u, v
 
     def remove_edge(self, u: int, v: int):
         """Remove a real edge (used by stick pruning and defensive rejects).

@@ -9,6 +9,16 @@ structure.  A violating insertion (undirected: cross; directed:
 anti-cross) triggers a static DFS over the bristle-induced subgraph only:
 the stick's tree edges are never touched, and afterwards the stick is
 recomputed and stored edges swallowed by its growth are pruned.
+
+Every insertion charges one unit.  A rebuild reaches every bristle and
+scans every entry of the bristle-induced subgraph, so its charge is closed
+form: the bristle tree edges, the stored edges (an undirected one once,
+though it sits in two lists) and the trigger -- |B| plus the stored edges
+for |B| bristles.  The bristles finish first in the whole tree's post-order
+and the stick keeps its ranks, so the rebuild hands out post-order ranks
+1..|B| to the bristles: a directed dfn stays exact and anti-cross
+classification never renumbers the tree.  Undirected dfn is not maintained
+(dfn_valid is cleared, as in the other undirected maintainers).
 """
 from __future__ import annotations
 
@@ -92,94 +102,107 @@ class Sdfs2State(IncrementalDfs):
             # stick-incident edges are always conforming: drop on sight
             self._discard(u, v)
             return
-        cls = classify_edge(self.tree, u, v, self.directed)
-        violating = (
-            cls is EdgeClass.ANTI_CROSS if self.directed else cls is EdgeClass.CROSS
-        )
-        if not violating:
+        directed = self.graph.directed
+        cls = classify_edge(self.tree, u, v, directed)
+        if cls is (EdgeClass.ANTI_CROSS if directed else EdgeClass.CROSS):
+            self._rebuild(u, v)
+        else:
             self._store(u, v)
-            return
-        self._rebuild(u, v)
 
     # -- bristle rebuild ---------------------------------------------------
 
     def _rebuild(self, eu, ev):
         tree = self.tree
+        directed = self.graph.directed
+        parent, depth, children, dfn = tree.parent, tree.depth, tree.children, tree.dfn
+        stored, stored_in = self._stored, self._stored_in
         root = self.bristle_root
-        # the bristle set is exactly the subtree of the bristle root
-        bristles = []
+        # one pass over the bristles (the subtree of the bristle root) builds
+        # the adjacency of the bristle-induced subgraph -- tree edges, stored
+        # edges, then the trigger, so a replay on an isolated bristle
+        # subgraph scans identically -- and collects the real edges that may
+        # be stored again.  The set's iteration order fixes the order of the
+        # re-stored lists, which later rebuilds scan: keep the adds in order.
+        adj = [None] * len(parent)
+        old_edges = set()
+        add = old_edges.add
+        entries = 0
         stack = [root]
         while stack:
             q = stack.pop()
-            bristles.append(q)
-            stack.extend(tree.children[q])
-        # adjacency over the bristle-induced subgraph: current tree edges,
-        # stored non-tree edges, then the triggering edge -- a fixed order
-        # so replay on an isolated bristle subgraph scans identically
-        adj = {}
-        for q in bristles:
-            if self.directed:
-                adj[q] = tree.children[q] + self._stored[q]
+            kids = children[q]
+            stack.extend(kids)
+            out = stored[q]
+            entries += len(out)
+            if directed or q == root:
+                adj[q] = kids + out
             else:
-                up = [] if q == root else [tree.parent[q]]
-                adj[q] = tree.children[q] + up + self._stored[q]
-        adj[eu] = adj[eu] + [ev]
-        if not self.directed:
-            adj[ev] = adj[ev] + [eu]
-        old_edges = set()
-        for q in bristles:
-            # pseudo edges from the root are connectivity scaffolding, not
-            # real edges: they never enter the stored set
-            if q != ROOT:
-                for c in tree.children[q]:
-                    old_edges.add((q, c))
-            for t in self._stored[q]:
-                if self.directed or q < t:
-                    old_edges.add((q, t))
-        old_edges.add((eu, ev))
-
-        # static DFS from the bristle root, metered like the full rebuilds:
-        # directed charges every scanned out-entry, undirected charges each
-        # edge once (at discovery or the descendant-side scan)
-        parent, depth, children = tree.parent, tree.depth, tree.children
-        state = {q: 0 for q in bristles}
-        for q in bristles:
+                adj[q] = [*kids, parent[q], *out]
+            if q != ROOT:  # pseudo edges never enter the stored set
+                for c in kids:
+                    add((q, c))
+            if directed:
+                for t in out:
+                    add((q, t))
+            else:
+                for t in out:
+                    if q < t:
+                        add((q, t))
             children[q] = []
-        state[root] = 1
-        scanned = 0
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            q, it = stack[-1]
-            advanced = False
-            for w in it:
-                st = state[w]
-                if self.directed or st == 0 or (st == 1 and parent[q] != w):
-                    scanned += 1
-                if st == 0:
-                    state[w] = 1
-                    parent[w] = q
-                    depth[w] = depth[q] + 1
-                    children[q].append(w)
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                state[q] = 2
-        self.counters.edges_processed += scanned
-        self.counters.rebuilds += 1
-        tree.dfn_valid = False
+            stored[q] = []
+            if directed:
+                stored_in[q] = []
+        adj[eu].append(ev)
+        if not directed:
+            adj[ev].append(eu)
+        add((eu, ev))
 
-        # re-derive the stored set: everything that did not become a tree
-        # edge stays stored (subject to the stick pruning that follows)
-        for q in bristles:
-            self._stored[q] = []
-            if self._stored_in is not None:
-                self._stored_in[q] = []
-        for a, b in old_edges:
-            if parent[b] == a:
-                continue
-            if not self.directed and parent[a] == b:
-                continue
-            self._store(a, b)
+        # static DFS from the bristle root, handing out post-order ranks
+        # 1..|B| (charge and ranks: see the module docstring)
+        seen = [False] * len(parent)
+        seen[root] = True
+        verts = [root]
+        its = [iter(adj[root])]
+        push_v = verts.append
+        push_it = its.append
+        pop_v = verts.pop
+        pop_it = its.pop
+        d = depth[root]
+        rank = 1
+        while its:
+            u = verts[-1]
+            for w in its[-1]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    d += 1
+                    depth[w] = d
+                    children[u].append(w)
+                    push_v(w)
+                    push_it(iter(adj[w]))
+                    break
+            else:
+                pop_v()
+                pop_it()
+                dfn[u] = rank
+                rank += 1
+                d -= 1
+        # rank - 1 = |B|: the |B| - 1 bristle tree edges plus the trigger
+        self.counters.edges_processed += rank - 1 + (entries if directed else entries // 2)
+        self.counters.rebuilds += 1
+        if not directed:
+            tree.dfn_valid = False
+
+        # everything that did not become a tree edge stays stored (subject
+        # to the stick pruning that follows)
+        if directed:
+            for a, b in old_edges:
+                if parent[b] != a:
+                    stored[a].append(b)
+                    stored_in[b].append(a)
+        else:
+            for a, b in old_edges:
+                if parent[b] != a and parent[a] != b:
+                    stored[a].append(b)
+                    stored[b].append(a)
         self._recompute_stick()

@@ -8,6 +8,7 @@ the package's Tarjan pass.
 import random
 
 from incdfs.core import ROOT, DfsTree, EdgeClass, Graph
+from incdfs.sdfs2 import Sdfs2State
 
 
 def ancestor_set(tree, v):
@@ -178,3 +179,85 @@ def reference_static_dfs(graph, interrupt=False):
                 rank += 1
     tree.dfn_valid = True
     return tree, scanned
+
+
+class ReferenceSdfs2(Sdfs2State):
+    """Sdfs2State with the bristle rebuild that charges one scan at a time
+    and leaves dfn to be recomputed: the reference for Sdfs2State._rebuild,
+    which charges in closed form and keeps a directed dfn exact."""
+
+    def _rebuild(self, eu, ev):
+        tree = self.tree
+        root = self.bristle_root
+        # the bristle set is exactly the subtree of the bristle root
+        bristles = []
+        stack = [root]
+        while stack:
+            q = stack.pop()
+            bristles.append(q)
+            stack.extend(tree.children[q])
+        # adjacency over the bristle-induced subgraph: current tree edges,
+        # stored non-tree edges, then the triggering edge
+        adj = {}
+        for q in bristles:
+            if self.directed:
+                adj[q] = tree.children[q] + self._stored[q]
+            else:
+                up = [] if q == root else [tree.parent[q]]
+                adj[q] = tree.children[q] + up + self._stored[q]
+        adj[eu] = adj[eu] + [ev]
+        if not self.directed:
+            adj[ev] = adj[ev] + [eu]
+        old_edges = set()
+        for q in bristles:
+            if q != ROOT:
+                for c in tree.children[q]:
+                    old_edges.add((q, c))
+            for t in self._stored[q]:
+                if self.directed or q < t:
+                    old_edges.add((q, t))
+        old_edges.add((eu, ev))
+
+        # static DFS from the bristle root: directed charges every scanned
+        # out-entry, undirected charges each edge once (at discovery or the
+        # descendant-side scan)
+        parent, depth, children = tree.parent, tree.depth, tree.children
+        state = {q: 0 for q in bristles}
+        for q in bristles:
+            children[q] = []
+        state[root] = 1
+        scanned = 0
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            q, it = stack[-1]
+            advanced = False
+            for w in it:
+                st = state[w]
+                if self.directed or st == 0 or (st == 1 and parent[q] != w):
+                    scanned += 1
+                if st == 0:
+                    state[w] = 1
+                    parent[w] = q
+                    depth[w] = depth[q] + 1
+                    children[q].append(w)
+                    stack.append((w, iter(adj[w])))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                state[q] = 2
+        self.counters.edges_processed += scanned
+        self.counters.rebuilds += 1
+        tree.dfn_valid = False
+
+        for q in bristles:
+            self._stored[q] = []
+            if self._stored_in is not None:
+                self._stored_in[q] = []
+        for a, b in old_edges:
+            if parent[b] == a:
+                continue
+            if not self.directed and parent[a] == b:
+                continue
+            self._store(a, b)
+        self._recompute_stick()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incdfs.adfs import ADFS2
+from incdfs.bench import make_algorithm
 from incdfs.core import (
     ROOT,
     Counters,
@@ -18,6 +19,7 @@ from incdfs.core import (
     static_dfs,
     stick_profile,
 )
+from incdfs.generators import gen_gnm
 from oracles import (
     brute_classify,
     brute_lca,
@@ -91,6 +93,46 @@ class TestGraph:
         g.add_edge(np.int64(1), np.int32(3))
         assert g.has_edge(1, 3)
         assert type(g.out_adj[1][-1]) is int and type(g.in_adj[3][-1]) is int
+
+
+ALGO_MODES = [
+    ("sdfs", "undirected"), ("sdfs-int", "undirected"), ("adfs1", "undirected"),
+    ("adfs2", "undirected"), ("sdfs2", "undirected"), ("sdfs3", "undirected"),
+    ("sdfs", "directed"), ("sdfs-int", "directed"), ("fdfs", "directed"),
+    ("sdfs2", "directed"), ("sdfs3", "directed"),
+    ("fdfs", "dag"), ("sdfs2", "dag"), ("sdfs3", "dag"),
+]
+
+
+def _tree_state(algo):
+    c = algo.counters
+    t = algo.tree
+    return (t.parent, t.children, t.depth, c.edges_processed, c.rebuilds,
+            c.insertions, c.vertices_remarked)
+
+
+@pytest.mark.parametrize("name,mode", ALGO_MODES)
+def test_numpy_endpoints_never_reach_the_tree(name, mode):
+    # the maintainers see the graph's normalised endpoints, so a replay
+    # with numpy ints stores only Python ints and matches the int replay
+    seq = gen_gnm(30, 120, seed=1, mode=mode)
+    ref = make_algorithm(name, 30, mode)
+    algo = make_algorithm(name, 30, mode)
+    for u, v in seq.edges:
+        ref.insert(u, v)
+        algo.insert(np.int64(u), np.int64(v))
+    t = algo.tree
+    assert all(type(p) is int for p in t.parent)
+    assert all(type(c) is int for kids in t.children for c in kids)
+    assert _tree_state(algo) == _tree_state(ref)
+    if algo.supports_batch:
+        batched = make_algorithm(name, 30, mode)
+        for i in range(0, len(seq.edges), 10):
+            batched.insert_batch([(np.int64(u), np.int64(v)) for u, v in seq.edges[i:i + 10]])
+        t = batched.tree
+        assert all(type(p) is int for p in t.parent)
+        assert all(type(c) is int for kids in t.children for c in kids)
+        assert batched.graph.real_edges() == ref.graph.real_edges()
 
 
 class TestStaticDfs:

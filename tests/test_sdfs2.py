@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from incdfs.core import ROOT, is_valid_dfs_tree, stick_profile
-from incdfs.generators import gen_gnm
+from incdfs.core import ROOT, DfsTree, is_valid_dfs_tree, stick_profile
+from incdfs.generators import gen_gnm, gen_worstcase_sdfs3
 from incdfs.sdfs2 import Sdfs2State
+from oracles import ReferenceSdfs2
 
 
 def build_chain(n):
@@ -180,3 +181,67 @@ def test_no_batch_mode():
     algo = Sdfs2State(5)
     with pytest.raises(NotImplementedError):
         algo.insert_batch([(1, 2)])
+
+
+def _full_state(algo):
+    t = algo.tree
+    c = algo.counters
+    return (t.parent, t.children, t.depth, algo._stored, algo._stored_in,
+            c.edges_processed, c.rebuilds, c.insertions, c.vertices_remarked,
+            algo.discarded_edges, bytes(algo.on_stick), algo.bristle_root)
+
+
+def _fresh_dfn(tree):
+    fresh = DfsTree(tree.n)
+    fresh.children = tree.children
+    fresh.recompute_dfn()
+    return fresh.dfn
+
+
+@pytest.mark.parametrize(
+    "n,m,seed,mode",
+    [(60, 600, s, m) for s in range(3) for m in ("undirected", "directed", "dag")]
+    + [(300, 1500, 1, "undirected"), (300, 1500, 1, "directed"), (120, 500, None, "worstcase")],
+)
+def test_rebuild_matches_reference(n, m, seed, mode):
+    # the lean rebuild gives the reference's trees, stored lists (in
+    # order), counters and discards after every insertion, and keeps a
+    # directed dfn exact where the reference leaves it to be recomputed
+    if mode == "worstcase":
+        seq = gen_worstcase_sdfs3(n, m)
+    else:
+        seq = gen_gnm(n, m, seed=seed, mode=mode)
+    algo = Sdfs2State(seq.n, directed=seq.directed)
+    ref = ReferenceSdfs2(seq.n, directed=seq.directed)
+    log, ref_log = [], []
+    algo.prune_hook = lambda u, v: log.append((u, v))
+    ref.prune_hook = lambda u, v: ref_log.append((u, v))
+    for u, v in seq.edges:
+        algo.insert(u, v)
+        ref.insert(u, v)
+        assert _full_state(algo) == _full_state(ref)
+        assert log == ref_log
+        if seq.directed:
+            assert algo.tree.dfn_valid
+            assert algo.tree.dfn == _fresh_dfn(algo.tree)
+    assert algo.counters.rebuilds > 5
+
+
+@pytest.mark.parametrize("mode", ["directed", "dag"])
+def test_directed_rebuild_never_recomputes_dfn(monkeypatch, mode):
+    # a rebuild assigns the bristles' post-order ranks itself, so anti-cross
+    # classification never has to renumber the whole tree
+    seq = gen_gnm(400, 10000, seed=1, mode=mode)
+    algo = Sdfs2State(seq.n, directed=True)
+    calls = []
+    original = DfsTree.recompute_dfn
+
+    def counted(tree):
+        calls.append(tree)
+        original(tree)
+
+    monkeypatch.setattr(DfsTree, "recompute_dfn", counted)
+    for u, v in seq.edges:
+        algo.insert(u, v)
+    assert algo.counters.rebuilds > 100
+    assert calls == []
