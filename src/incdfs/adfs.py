@@ -9,15 +9,21 @@ v is reversed.  Stored back edges keyed on the reversed path may have
 turned into cross edges; they are all moved to a pending pool and
 reprocessed under the variant's order until the pool is empty.
 
+Edges with an endpoint on the stick proper are ancestor-related to every
+vertex, so they are dropped on sight, and the stored edges keyed on a
+vertex are dropped when it joins the stick; discarded_edges counts both.
+The public stick view (on_stick, stick, bristle_root, discarded_edges) is
+the same as Sdfs2State's.  Only a re-hang changes the tree, so only then
+does the stick walk run, resuming below the old stick (core.extend_stick).
+
 Every edge popped from the pool (and the inserted edge itself) charges
-edges_processed once.  Structural bookkeeping — path reversal, depth
-refresh of the moved subtree, stick recomputation — is deliberately
-uncharged.
+edges_processed once.  Structural bookkeeping -- path reversal, depth
+refresh of the moved subtree, stick upkeep -- is deliberately uncharged.
 """
 from __future__ import annotations
 
 from .base import IncrementalDfs
-from .core import ROOT, GraphError, lca
+from .core import ROOT, GraphError, extend_stick, lca
 
 
 class AdfsState(IncrementalDfs):
@@ -33,23 +39,10 @@ class AdfsState(IncrementalDfs):
         self.pending: list = []
         # stored non-tree (back) edges keyed by their shallower endpoint
         self._back = [[] for _ in range(n + 1)]
-        self._stick_valid = False
-        self._on_stick = bytearray(n + 1)
-        self._stick = []
-        self._refresh_stick()
-
-    # -- classification helpers -------------------------------------------
-
-    def _relation(self, u, v):
-        """Return lca(u, v); on-stick endpoints short-circuit to a back
-        edge since stick vertices are comparable with every vertex."""
-        if self._stick_valid and (self._on_stick[u] or self._on_stick[v]):
-            return u if self.tree.depth[u] < self.tree.depth[v] else v
-        return lca(self.tree, u, v)
-
-    def _store_back(self, u, v):
-        key = u if self.tree.depth[u] < self.tree.depth[v] else v
-        self._back[key].append((u, v))
+        self.discarded_edges = 0
+        self.on_stick = bytearray(n + 1)
+        self.stick: list[int] = []
+        self._grow_stick()
 
     # -- re-hang ----------------------------------------------------------
 
@@ -57,7 +50,7 @@ class AdfsState(IncrementalDfs):
         """Re-root the child subtree of w containing y at y and hang it
         from (x, y), reversing the tree path from y to that child."""
         tree = self.tree
-        parent, children, depth = tree.parent, tree.children, tree.depth
+        parent, children = tree.parent, tree.children
         path = [y]
         while parent[path[-1]] != w:
             path.append(parent[path[-1]])
@@ -77,20 +70,11 @@ class AdfsState(IncrementalDfs):
             children[path[i + 1]].remove(path[i])
         children[x].append(y)
         parent[y] = x
-        depth[y] = depth[x] + 1
         for i in range(len(path) - 1):
             parent[path[i + 1]] = path[i]
             children[path[i]].append(path[i + 1])
-        # depth refresh of the moved subtree (uncharged bookkeeping)
-        stack = [y]
-        while stack:
-            q = stack.pop()
-            dq = depth[q] + 1
-            for c in children[q]:
-                depth[c] = dq
-                stack.append(c)
+        tree.refresh_depths(y)  # uncharged bookkeeping
         tree.dfn_valid = False
-        self._stick_valid = False
         self.counters.rebuilds += 1
 
     # -- pool policies -----------------------------------------------------
@@ -127,14 +111,30 @@ class AdfsState(IncrementalDfs):
 
     # -- driver ------------------------------------------------------------
 
-    def _process(self, u, v):
+    def _settle(self, u, v):
+        """Charge (u, v), then drop it (stick endpoint) or store it (back
+        edge, keyed on the ancestor); return lca(u, v) for a cross edge.
+
+        The stick marks may lag behind a re-hang until the pool drains,
+        but a marked vertex stays on the stick, so it is safe to use."""
         self.counters.edges_processed += 1
-        w = self._relation(u, v)
+        if self.on_stick[u] or self.on_stick[v]:
+            self.discarded_edges += 1
+            return None
+        w = lca(self.tree, u, v)
         if w == u or w == v:
-            self._store_back(u, v)
-            return
+            self._back[w].append((u, v))
+            return None
+        return w
+
+    def _process(self, u, v):
+        """Settle (u, v) and re-hang on a cross edge; True if it re-hung."""
+        w = self._settle(u, v)
+        if w is None:
+            return False
         x, y = (u, v) if self.tree.depth[u] >= self.tree.depth[v] else (v, u)
         self._rehang(x, y, w)
+        return True
 
     def _drain(self):
         while self.pending:
@@ -142,37 +142,27 @@ class AdfsState(IncrementalDfs):
             self._process(u, v)
 
     def _apply(self, u, v):
-        self._process(u, v)
-        self._drain()
-        self._refresh_stick()
+        # without a re-hang the tree, the empty pool and the stick stand
+        if self._process(u, v):
+            self._drain()
+            self._grow_stick()
 
     def _apply_batch(self, edges):
         for u, v in edges:
-            self.counters.edges_processed += 1
-            w = self._relation(u, v)
-            if w == u or w == v:
-                self._store_back(u, v)
-            else:
+            if self._settle(u, v) is not None:
                 self.pending.append((u, v))
         self._drain()
-        self._refresh_stick()
+        self._grow_stick()
 
-    def _refresh_stick(self):
-        if self._stick_valid:
-            return
-        for q in self._stick:
-            self._on_stick[q] = 0
-        stick = []
-        cur = ROOT
-        while len(self.tree.children[cur]) == 1:
-            cur = self.tree.children[cur][0]
-            stick.append(cur)
-        if stick:
-            stick.pop()  # the last chain vertex is the bristle root
-        for q in stick:
-            self._on_stick[q] = 1
-        self._stick = stick
-        self._stick_valid = True
+    def _grow_stick(self):
+        """Extend the stick view; drop the stored edges keyed on the
+        vertices that joined the stick proper."""
+        start = len(self.stick)
+        self.bristle_root = extend_stick(self.tree.children, self.stick)
+        for q in self.stick[start:]:
+            self.on_stick[q] = 1
+            self.discarded_edges += len(self._back[q])
+            self._back[q] = []
 
 
 class ADFS1(AdfsState):

@@ -32,25 +32,28 @@ class IncrementalDfs:
         """Insert one edge and restore the invariant.
 
         Duplicate edges (and self loops) are ignored and return False.
+        Both checks run on the normalised endpoints (Graph.add_new_edge),
+        so the maintainers see Python ints and a non-integer endpoint
+        raises GraphError.
         """
-        if u == v or self.graph.has_edge(u, v):
+        edge = self.graph.add_new_edge(u, v)
+        if edge is None:
             return False
-        # the maintainers see the graph's normalised endpoints: Python ints
-        u, v = self.graph.add_edge(u, v)
         self.counters.insertions += 1
-        self._apply(u, v)
+        self._apply(*edge)
         return True
 
     def insert_batch(self, edges) -> int:
         """Insert a group of edges, restoring the invariant once at the end."""
         if not self.supports_batch:
             raise NotImplementedError(f"{self.name} has no batch mode")
+        add = self.graph.add_new_edge
         fresh = []
         for u, v in edges:
-            if u == v or self.graph.has_edge(u, v):
-                continue
-            fresh.append(self.graph.add_edge(u, v))
-            self.counters.insertions += 1
+            edge = add(u, v)
+            if edge is not None:
+                fresh.append(edge)
+                self.counters.insertions += 1
         if fresh:
             self._apply_batch(fresh)
         return len(fresh)

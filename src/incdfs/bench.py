@@ -22,10 +22,15 @@ from .sdfs3 import Sdfs3State
 ALGORITHM_NAMES = ("sdfs", "sdfs-int", "fdfs", "adfs1", "adfs2", "sdfs2", "sdfs3")
 
 
-def make_algorithm(name: str, n: int, mode: str):
-    """Instantiate a maintainer for the given graph mode."""
+def make_algorithm(name: str, n: int, mode: str, adversarial_order: bool = False):
+    """Instantiate a maintainer for the given graph mode.
+
+    adversarial_order selects ADFS1's worst-case pool order; it applies to
+    adfs1 only."""
     if mode not in ("undirected", "directed", "dag"):
         raise GraphError(f"unknown mode {mode!r}")
+    if adversarial_order and name != "adfs1":
+        raise GraphError(f"adversarial_order applies to adfs1 only, not {name!r}")
     directed = mode != "undirected"
     if name == "sdfs":
         return SDFS(n, directed=directed)
@@ -38,7 +43,7 @@ def make_algorithm(name: str, n: int, mode: str):
     if name == "adfs1":
         if directed:
             raise GraphError("adfs1 is undirected only")
-        return ADFS1(n)
+        return ADFS1(n, adversarial_order=adversarial_order)
     if name == "adfs2":
         if directed:
             raise GraphError("adfs2 is undirected only")

@@ -97,9 +97,7 @@ def cmd_worstcase(args):
     gen, algo_name = family
     seq = gen(args.n, args.m)
     mode = "dag" if seq.dag else ("directed" if seq.directed else "undirected")
-    algo = make_algorithm(algo_name, seq.n, mode)
-    if algo_name == "adfs1":
-        algo.adversarial_order = True
+    algo = make_algorithm(algo_name, seq.n, mode, adversarial_order=algo_name == "adfs1")
     rows = replay(algo, seq, sample_every=args.sample_every)
     _emit(rows, args.out)
     total = algo.counters.edges_processed

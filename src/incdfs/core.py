@@ -89,32 +89,35 @@ class Graph:
             return (u, v)
         return (u, v) if u < v else (v, u)
 
-    def _check(self, u: int, v: int):
-        if u == v:
-            raise GraphError(f"self-loop ({u},{v})")
-        if not (1 <= u <= self.n and 1 <= v <= self.n):
-            raise GraphError(f"endpoint out of range in ({u},{v})")
-
     def has_edge(self, u: int, v: int) -> bool:
         return self._key(u, v) in self._eindex
 
-    def add_edge(self, u: int, v: int):
-        """Add real edge (u, v) and return it normalised, or raise
-        GraphError and change nothing.
-
-        Endpoints are normalised with operator.index before any state is
-        touched, so numpy ints are stored (and returned) as Python ints and
-        a non-integer endpoint cannot leave a half-registered edge behind.
-        """
+    @staticmethod
+    def endpoints(u, v) -> tuple[int, int]:
+        """(u, v) normalised with operator.index, so numpy ints become
+        Python ints; a non-integer endpoint raises GraphError."""
         try:
-            u = index(u)
-            v = index(v)
+            return index(u), index(v)
         except TypeError:
             raise GraphError(f"non-integer endpoint in ({u!r},{v!r})") from None
-        self._check(u, v)
+
+    def add_new_edge(self, u, v):
+        """Add real edge (u, v) and return it normalised, or return None
+        for a self-loop or an edge already present.
+
+        The endpoints are normalised (see endpoints) before either check
+        and before any state is touched, so numpy ints are stored (and
+        returned) as Python ints.  A non-integer or out-of-range endpoint
+        raises GraphError and changes nothing.
+        """
+        u, v = self.endpoints(u, v)
+        if u == v:
+            return None
         key = self._key(u, v)
         if key in self._eindex:
-            raise GraphError(f"duplicate edge ({u},{v})")
+            return None
+        if not (1 <= u <= self.n and 1 <= v <= self.n):
+            raise GraphError(f"endpoint out of range in ({u},{v})")
         if self.m == len(self._eu):
             self._eu = np.concatenate([self._eu, np.empty_like(self._eu)])
             self._ev = np.concatenate([self._ev, np.empty_like(self._ev)])
@@ -128,6 +131,15 @@ class Graph:
         else:
             self.out_adj[v].append(u)
         return u, v
+
+    def add_edge(self, u: int, v: int):
+        """Add real edge (u, v) and return it normalised, or raise
+        GraphError and change nothing (see add_new_edge); a self-loop or a
+        duplicate raises too."""
+        edge = self.add_new_edge(u, v)
+        if edge is None:
+            raise GraphError(f"self-loop or duplicate edge ({u!r},{v!r})")
+        return edge
 
     def remove_edge(self, u: int, v: int):
         """Remove a real edge (used by stick pruning and defensive rejects).
@@ -223,16 +235,19 @@ class DfsTree:
         return np.asarray(pre, dtype=np.int64), np.asarray(post, dtype=np.int64)
 
     def refresh_depths(self, root: int):
-        """Recompute depth below root from parent/children (bookkeeping)."""
+        """Recompute depth of root and its subtree from parent/children
+        (bookkeeping)."""
         depth = self.depth
-        base = depth[self.parent[root]] + 1 if root != ROOT else 0
-        stack = [(root, base)]
         children = self.children
+        depth[root] = depth[self.parent[root]] + 1 if root != ROOT else 0
+        stack = [root]
         while stack:
-            v, d = stack.pop()
-            depth[v] = d
-            for c in children[v]:
-                stack.append((c, d + 1))
+            v = stack.pop()
+            d = depth[v] + 1
+            kids = children[v]
+            for c in kids:
+                depth[c] = d
+            stack.extend(kids)
 
 
 @dataclass(frozen=True)
@@ -372,6 +387,49 @@ def static_dfs(
     return tree
 
 
+def restricted_dfs(adj, roots, fresh, parent, depth, children) -> list:
+    """Static DFS over the fresh vertices; returns their post-order.
+
+    From each root in roots that is still fresh, in order, the DFS enters
+    every vertex w with fresh[w] truthy that it finds by scanning adj, in
+    adjacency order.  On entry it clears fresh[w], hangs w as the last
+    child of the vertex it was found from (children[u].append(w),
+    parent[w] = u) and sets depth[w] one below it; a root is only cleared,
+    its own parent and depth (which is read) are the caller's.  fresh may
+    be a list or a bytearray, and the other mappings may be the
+    tree's lists or scratch dicts: the repairs that must stay undone until
+    they are known to succeed hand in {} / defaultdict(list).
+
+    It charges nothing.  Every adjacency list of a visited vertex is
+    scanned to the end, so the callers charge in closed form from the
+    returned post-order.
+    """
+    post = []
+    finish = post.append
+    stack = []
+    push = stack.append
+    pop = stack.pop
+    for root in roots:
+        if not fresh[root]:
+            continue
+        fresh[root] = False
+        push((root, iter(adj[root])))
+        while stack:
+            u, it = stack[-1]
+            for w in it:
+                if fresh[w]:
+                    fresh[w] = False
+                    parent[w] = u
+                    depth[w] = depth[u] + 1
+                    children[u].append(w)
+                    push((w, iter(adj[w])))
+                    break
+            else:
+                pop()
+                finish(u)
+    return post
+
+
 def classify_edge(tree: DfsTree, u: int, v: int, directed: bool) -> EdgeClass:
     """Classify edge (u,v) against the tree.
 
@@ -456,20 +514,35 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
     return ValidityReport(True)
 
 
-def stick_profile(tree: DfsTree) -> StickProfile:
-    """Broomstick measurements of the tree.
+def extend_stick(children, stick) -> int:
+    """Extend stick, the stick proper listed top down, to the tree's
+    current stick and return the bristle root.
 
     The stick is the maximal unbranched chain below the root: walking down
     while every vertex (including the root) has exactly one child.  The
-    first vertex with 0 or >= 2 children is the bristle root; it is not
-    counted.  l_s counts real vertices strictly between the root and the
-    bristle root; bristles are the n - l_s remaining real vertices.
+    first vertex with 0 or >= 2 children is the bristle root; the real
+    vertices strictly between the root and it are the stick proper.  Under
+    edge insertions the stick proper only grows, because re-hangs and
+    bristle rebuilds happen at or below the bristle root, so the walk
+    resumes below the last vertex of stick (at the root when it is empty).
+    The vertices that joined are the ones appended.
     """
-    children = tree.children
-    cur = ROOT
+    top = stick[-1] if stick else ROOT
+    cur = top
     while len(children[cur]) == 1:
         cur = children[cur][0]
-    l_s = tree.depth[cur] - 1 if cur != ROOT else 0
-    if l_s < 0:
-        l_s = 0
-    return StickProfile(l_s, tree.n - l_s, cur)
+        stick.append(cur)
+    if cur != top:
+        stick.pop()  # the last chain vertex is the bristle root
+    return cur
+
+
+def stick_profile(tree: DfsTree) -> StickProfile:
+    """Broomstick measurements of the tree (see extend_stick).
+
+    l_s counts the stick proper; bristles are the n - l_s remaining real
+    vertices.
+    """
+    stick = []
+    root = extend_stick(tree.children, stick)
+    return StickProfile(len(stick), tree.n - len(stick), root)

@@ -2,24 +2,43 @@
 
 The tree's post-order numbering (dfn) is maintained exactly.  An inserted
 edge (x, y) with dfn(x) >= dfn(y) never invalidates the tree and is
-absorbed in O(1).  Otherwise the edge is an anti-cross edge and a partial
-DFS is run from y over a candidate set bounded by dfn ranks; the reached
-vertices are re-rooted at y, hung from (x, y), and the affected contiguous
-rank interval is renumbered.
+absorbed in O(1).  Otherwise the edge is an anti-cross edge and the repair
+is core.restricted_dfs from y over the candidate set; the reached vertices
+are re-rooted at y, hung from (x, y), and the affected contiguous rank
+interval is renumbered.  The repair charges, in closed form, every
+out-entry of the reached vertices: sum(len(adj[v])) over the post-order.
 
 Candidate set: vertices with dfn in (dfn(x), U], excluding proper
 ancestors of x, where U = dfn(y) in dag mode and U = dfn(c) in directed
 mode with c the child of lca(x, y) whose subtree contains y (the whole
 subtree is eligible there, not just ranks up to y).
+
+In dag mode x and its blocked ancestors are fresh as well: the DFS
+entering any of them means y reaches x, so the insertion closes a cycle
+and is rejected with CycleError.  The repair writes into scratch mappings
+until it has passed that test, so a rejected insertion leaves the graph,
+the tree, dfn, dfn_index and all four counters exactly as before the call.
 """
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .base import IncrementalDfs
-from .core import GraphError, lca
+from .core import GraphError, lca, restricted_dfs
 
 
 class CycleError(GraphError):
     """Raised in dag mode when an insertion would create a cycle."""
+
+
+def reject(algo, x, y):
+    """Take back the insertion (x, y), which closes a cycle, and raise
+    CycleError.  Callers reject before touching the tree or any counter
+    except the insertion's own edges_processed unit, which goes back too."""
+    algo.graph.remove_edge(x, y)
+    algo.counters.insertions -= 1
+    algo.counters.edges_processed -= 1
+    raise CycleError(f"insertion ({x},{y}) closes a cycle")
 
 
 class FdfsState(IncrementalDfs):
@@ -34,9 +53,6 @@ class FdfsState(IncrementalDfs):
         self.dfn_index = [0] * (n + 2)  # rank -> vertex
         for v, r in enumerate(self.tree.dfn):
             self.dfn_index[r] = v
-        # epoch-stamped scratch marks: visited / ineligible
-        self._stamp = [0] * (n + 1)
-        self._epoch = 0
 
     # -- candidate machinery ----------------------------------------------
 
@@ -73,94 +89,62 @@ class FdfsState(IncrementalDfs):
         if w == y:
             # back edge: y already reaches x through the tree
             if self.mode == "dag":
-                self._reject(x, y)
+                reject(self, x, y)
             return
         self._rebuild(x, y, w)
 
-    def _reject(self, x, y):
-        self.graph.remove_edge(x, y)
-        self.counters.insertions -= 1
-        raise CycleError(f"insertion ({x},{y}) closes a cycle")
-
     def _rebuild(self, x, y, w):
         tree = self.tree
-        dfn, index = tree.dfn, self.dfn_index
+        parent, children, dfn, index = tree.parent, tree.children, tree.dfn, self.dfn_index
         lo, hi = dfn[x], self._upper_rank(x, y, w)
-        self._epoch += 1
-        epoch, stamp = self._epoch, self._stamp
-        VISITED, BLOCKED = epoch, -epoch
-        a = tree.parent[x]
+        block = index[lo : hi + 1]  # x, then the rank interval (lo, hi]
+        fresh = bytearray(len(parent))
+        for v in block:
+            fresh[v] = True
+        # x and its ancestors below w are no candidates; in dag mode they
+        # stay fresh as tripwires: entering one of them closes a cycle
+        dag = self.mode == "dag"
+        blocked = []
+        a = parent[x]
         while a != w:
-            stamp[a] = BLOCKED
-            a = tree.parent[a]
+            blocked.append(a)
+            fresh[a] = dag
+            a = parent[a]
+        fresh[x] = dag
 
-        def eligible(v):
-            return lo < dfn[v] <= hi and stamp[v] != BLOCKED
-
-        # phase 1: partial DFS from y over the candidate set; every
-        # out-edge of a visited vertex is scanned and charged
+        # phase 1: restricted DFS from y into scratch mappings, so a
+        # rejection leaves the tree as it was
         adj = self.graph.out_adj
-        stamp[y] = VISITED
-        dfs_children = {y: []}
-        stack = [(y, iter(adj[y]))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for t in it:
-                self.counters.edges_processed += 1
-                if self.mode == "dag" and (t == x or stamp[t] == BLOCKED):
-                    # y reaches x or a tree ancestor of x: cycle
-                    self._reject(x, y)
-                if stamp[t] != VISITED and eligible(t):
-                    stamp[t] = VISITED
-                    dfs_children[v].append(t)
-                    dfs_children[t] = []
-                    stack.append((t, iter(adj[t])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
+        new_parent = {}
+        new_children = defaultdict(list)
+        post = restricted_dfs(adj, (y,), fresh, new_parent, {y: 0}, new_children)
+        if dag and not (fresh[x] and all(map(fresh.__getitem__, blocked))):
+            reject(self, x, y)
+        self.counters.edges_processed += sum(map(len, map(adj.__getitem__, post)))
 
-        # phase 2: splice the reached set in as a subtree rooted at y
-        reached = dfs_children.keys()
-        for v in reached:
-            p = tree.parent[v]
-            if stamp[p] != VISITED:
-                tree.children[p].remove(v)
-        for v in reached:
-            keep = [c for c in tree.children[v] if stamp[c] != VISITED]
-            tree.children[v] = dfs_children[v] + keep
-            for c in dfs_children[v]:
-                tree.parent[c] = v
-        tree.parent[y] = x
-        tree.children[x].append(y)
-        tree.depth[y] = tree.depth[x] + 1
-        walk = [y]
-        while walk:
-            v = walk.pop()
-            dv = tree.depth[v] + 1
-            for c in tree.children[v]:
-                tree.depth[c] = dv
-                walk.append(c)
+        # phase 2: splice the reached set in as a subtree rooted at y.  A
+        # reached vertex's children are all reached too (tree edges are
+        # graph edges and its children's ranks lie in the interval), so its
+        # new children are exactly its DFS children.
+        moved = set(post)
+        for v in post:
+            p = parent[v]
+            if p not in moved:
+                children[p].remove(v)
+        for v in post:
+            children[v] = new_children[v]
+        for v, p in new_parent.items():
+            parent[v] = p
+        parent[y] = x
+        children[x].append(y)
+        tree.refresh_depths(y)
 
-        # phase 3: renumber the contiguous rank interval [lo, hi]:
+        # phase 3: renumber the contiguous rank interval [lo, hi]: the
         # spliced subtree of y in post-order, then x, then the untouched
         # interval members in their old relative order
-        old_block = [index[r] for r in range(lo, hi + 1)]
-        post = []
-        walk = [(y, False)]
-        while walk:
-            v, done = walk.pop()
-            if done:
-                post.append(v)
-                continue
-            walk.append((v, True))
-            for c in reversed(tree.children[v]):
-                walk.append((c, False))
-        moved = set(post)
         new_block = post + [x]
-        new_block += [v for v in old_block if v not in moved and v != x]
-        for r, v in zip(range(lo, hi + 1), new_block):
+        new_block += [v for v in block if v not in moved and v != x]
+        for r, v in enumerate(new_block, lo):
             dfn[v] = r
             index[r] = v
         self.counters.rebuilds += 1

@@ -6,9 +6,11 @@ the stick).  Non-tree edges touching the stick proper can never invalidate
 the tree again, so they are discarded on sight.  The remaining non-tree
 edges live entirely inside the bristles and are kept in a stored-edge
 structure.  A violating insertion (undirected: cross; directed:
-anti-cross) triggers a static DFS over the bristle-induced subgraph only:
-the stick's tree edges are never touched, and afterwards the stick is
-recomputed and stored edges swallowed by its growth are pruned.
+anti-cross) triggers the repair: core.restricted_dfs from the bristle root
+over the bristles, on the bristle-induced subgraph (tree edges, stored
+edges, the trigger).  The stick's tree edges are never touched; afterwards
+the stick walk resumes below the old stick (core.extend_stick) and stored
+edges swallowed by its growth are pruned.
 
 Every insertion charges one unit.  A rebuild reaches every bristle and
 scans every entry of the bristle-induced subgraph, so its charge is closed
@@ -23,63 +25,57 @@ classification never renumbers the tree.  Undirected dfn is not maintained
 from __future__ import annotations
 
 from .base import IncrementalDfs
-from .core import ROOT, EdgeClass, classify_edge
+from .core import ROOT, EdgeClass, classify_edge, extend_stick, restricted_dfs
 
 
 class Sdfs2State(IncrementalDfs):
+    """Public stick view (shared with ADFS): on_stick marks the stick
+    proper, stick lists it top down, bristle_root, discarded_edges counts
+    the edges dropped for touching the stick, and stored[u] lists the
+    stored non-tree edges out of u."""
+
     name = "sdfs2"
     supports_batch = False
 
     def __init__(self, n: int, directed: bool = False):
         super().__init__(n, directed=directed)
         self.discarded_edges = 0
-        self.on_stick = bytearray(n + 1)  # stick proper: excludes bristle root
-        self._stick: list[int] = []
-        self.bristle_root = ROOT
+        self.on_stick = bytearray(n + 1)
+        self.stick: list[int] = []
         # stored non-tree edges, both endpoints in bristles; undirected
         # lists are symmetric, directed ones are source-keyed with a
         # companion in-list used only for pruning
-        self._stored = [[] for _ in range(n + 1)]
+        self.stored = [[] for _ in range(n + 1)]
         self._stored_in = [[] for _ in range(n + 1)] if directed else None
         # called once per discarded edge; used by the streaming wrapper
         self.prune_hook = None
-        self._recompute_stick()
+        self._grow_stick()
 
     # -- stick maintenance -------------------------------------------------
 
-    def _recompute_stick(self):
-        """Re-derive on_stick and bristle_root; prune stored edges on any
-        vertex that newly joined the stick proper."""
-        stick = []
-        cur = ROOT
-        while len(self.tree.children[cur]) == 1:
-            cur = self.tree.children[cur][0]
-            stick.append(cur)
-        if stick:
-            self.bristle_root = stick.pop()
-        else:
-            self.bristle_root = ROOT
-        fresh = [q for q in stick if not self.on_stick[q]]
-        for q in self._stick:
-            self.on_stick[q] = 0
-        for q in stick:
+    def _grow_stick(self):
+        """Extend the stick view; prune stored edges on every vertex that
+        joined the stick proper, once all of them are marked."""
+        start = len(self.stick)
+        self.bristle_root = extend_stick(self.tree.children, self.stick)
+        joined = self.stick[start:]
+        for q in joined:
             self.on_stick[q] = 1
-        self._stick = stick
-        for q in fresh:
+        for q in joined:
             self._prune_vertex(q)
 
     def _prune_vertex(self, q):
-        for v in self._stored[q]:
+        for v in self.stored[q]:
             self._discard(q, v)
             if self._stored_in is None:
-                self._stored[v].remove(q)
+                self.stored[v].remove(q)
             else:
                 self._stored_in[v].remove(q)
-        self._stored[q] = []
+        self.stored[q] = []
         if self._stored_in is not None:
             for u in self._stored_in[q]:
                 self._discard(u, q)
-                self._stored[u].remove(q)
+                self.stored[u].remove(q)
             self._stored_in[q] = []
 
     def _discard(self, u, v):
@@ -88,9 +84,9 @@ class Sdfs2State(IncrementalDfs):
             self.prune_hook(u, v)
 
     def _store(self, u, v):
-        self._stored[u].append(v)
+        self.stored[u].append(v)
         if self._stored_in is None:
-            self._stored[v].append(u)
+            self.stored[v].append(u)
         else:
             self._stored_in[v].append(u)
 
@@ -115,7 +111,7 @@ class Sdfs2State(IncrementalDfs):
         tree = self.tree
         directed = self.graph.directed
         parent, depth, children, dfn = tree.parent, tree.depth, tree.children, tree.dfn
-        stored, stored_in = self._stored, self._stored_in
+        stored, stored_in = self.stored, self._stored_in
         root = self.bristle_root
         # one pass over the bristles (the subtree of the bristle root) builds
         # the adjacency of the bristle-induced subgraph -- tree edges, stored
@@ -157,40 +153,17 @@ class Sdfs2State(IncrementalDfs):
             adj[ev].append(eu)
         add((eu, ev))
 
-        # static DFS from the bristle root, handing out post-order ranks
-        # 1..|B| (charge and ranks: see the module docstring)
-        seen = [False] * len(parent)
-        seen[root] = True
-        verts = [root]
-        its = [iter(adj[root])]
-        push_v = verts.append
-        push_it = its.append
-        pop_v = verts.pop
-        pop_it = its.pop
-        d = depth[root]
-        rank = 1
-        while its:
-            u = verts[-1]
-            for w in its[-1]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    d += 1
-                    depth[w] = d
-                    children[u].append(w)
-                    push_v(w)
-                    push_it(iter(adj[w]))
-                    break
-            else:
-                pop_v()
-                pop_it()
-                dfn[u] = rank
-                rank += 1
-                d -= 1
-        # rank - 1 = |B|: the |B| - 1 bristle tree edges plus the trigger
-        self.counters.edges_processed += rank - 1 + (entries if directed else entries // 2)
+        # the DFS runs over the bristles: adj names no other vertex, so
+        # every vertex may start fresh.  The charge is |B| (the |B| - 1
+        # bristle tree edges plus the trigger) plus the stored edges, and a
+        # directed dfn gives the bristles the post-order ranks 1..|B|.
+        post = restricted_dfs(adj, (root,), [True] * len(parent), parent, depth, children)
+        self.counters.edges_processed += len(post) + (entries if directed else entries // 2)
         self.counters.rebuilds += 1
-        if not directed:
+        if directed:
+            for rank, q in enumerate(post, 1):
+                dfn[q] = rank
+        else:
             tree.dfn_valid = False
 
         # everything that did not become a tree edge stays stored (subject
@@ -205,4 +178,4 @@ class Sdfs2State(IncrementalDfs):
                 if parent[b] != a and parent[a] != b:
                     stored[a].append(b)
                     stored[b].append(a)
-        self._recompute_stick()
+        self._grow_stick()

@@ -1,28 +1,39 @@
 """SDFS3: localized static rebuilds.
 
+Each repair is core.restricted_dfs over a vertex set small enough to find
+cheaply; the charges are closed form because every visited adjacency list
+is scanned to the end.
+
 Undirected mode: a violating (cross) edge (x, y) with w = lca(x, y)
 identifies the two child subtrees of w containing x and y.  A lock-step
 probe walks both subtrees one vertex at a time to find the smaller one
 without paying for the larger (the probe's vertex touches are metered as
-vertices_remarked, not edge scans); the smaller subtree is then marked
-unvisited and rebuilt by a DFS restricted to its vertex set, started at
-the inserted edge's endpoint inside it and hung from the other endpoint.
-Ties rebuild the subtree containing y.
+vertices_remarked, not edge scans); the smaller subtree is then
+restricted_dfs'd over its own members, started at the inserted edge's
+endpoint inside it and hung from the other endpoint.  Ties rebuild the
+subtree containing y.  The charge counts each edge once: the members'
+real adjacency entries minus the internal edges I, where 2I is the number
+of member entries that point at a member.
 
 Directed mode: the same candidate set as the rank-interval algorithm is
 computed for an anti-cross edge, but instead of splicing only what a
-partial DFS reaches, every candidate subtree is detached and marked
-unvisited: traversal resumes through (x, y), then each still-unvisited
-detached root is re-traversed in original left-to-right order and re-hung
-in place.  Post-order ranks are restored by a plain rescan.  The full
-re-traversal of the candidate subtrees is what costs Theta(m^2) in the
-worst case.
+partial DFS reaches, every candidate subtree is detached: restricted_dfs
+resumes through (x, y) over the candidates, then runs once more over the
+still-unvisited detached roots in original left-to-right order, re-hanging
+each in place.  Both charge every out-entry of the vertices they visit.
+Post-order ranks are restored by a plain rescan.  The full re-traversal of
+the candidate subtrees is what costs Theta(m^2) in the worst case.  In dag
+mode a cycle is found and rejected as in fdfs, with the same guarantee:
+a rejected insertion leaves everything as before the call.
 """
 from __future__ import annotations
 
+from collections import defaultdict
+from itertools import compress
+
 from .base import IncrementalDfs
-from .core import ROOT, GraphError, lca
-from .fdfs import CycleError
+from .core import GraphError, lca, restricted_dfs
+from .fdfs import reject
 
 
 class Sdfs3State(IncrementalDfs):
@@ -34,8 +45,6 @@ class Sdfs3State(IncrementalDfs):
             raise GraphError(f"unknown sdfs3 mode {mode!r}")
         self.mode = mode
         super().__init__(n, directed=(mode != "undirected"))
-        self._stamp = [0] * (n + 1)
-        self._epoch = 0
 
     def _apply(self, x, y):
         self.counters.edges_processed += 1
@@ -70,165 +79,102 @@ class Sdfs3State(IncrementalDfs):
         it1, it2 = self._subtree_walker(r1), self._subtree_walker(r2)
         while True:
             if next(it2, None) is None:
-                side, root, entry, anchor = 2, r2, y, x
+                root, entry, anchor = r2, y, x
                 break
             self.counters.vertices_remarked += 1
             if next(it1, None) is None:
-                side, root, entry, anchor = 1, r1, x, y
+                root, entry, anchor = r1, x, y
                 break
             self.counters.vertices_remarked += 1
         members = list(self._subtree_walker(root))
-        # per-member state: 0 unvisited, 1 active, 2 finished
-        state = {v: 0 for v in members}
-        for v in members:
-            tree.children[v] = []
-        tree.children[w].remove(root)
-        # restricted DFS over the smaller side, entered through the new
-        # edge; undirected metering charges each internal edge once (at
-        # discovery or the descendant-side scan of a back edge) and each
-        # edge leaving the subtree once, from the inside
         parent, depth, children = tree.parent, tree.depth, tree.children
         adj = self.graph.out_adj
+        fresh = bytearray(len(parent))
+        for v in members:
+            fresh[v] = True
+            children[v] = []
+        # every member's list is scanned to the end: each edge leaving the
+        # side is charged once from inside, each internal edge once
+        entries = twice_internal = 0
+        for v in members:
+            out = adj[v]
+            entries += len(out) - 1  # minus the pseudo edge
+            for t in out:
+                if fresh[t]:
+                    twice_internal += 1
+        children[w].remove(root)
         parent[entry] = anchor
         depth[entry] = depth[anchor] + 1
         children[anchor].append(entry)
-        state[entry] = 1
-        stack = [(entry, iter(adj[entry]))]
-        while stack:
-            q, it = stack[-1]
-            advanced = False
-            for t in it:
-                if t == ROOT:
-                    continue  # pseudo scaffolding edge
-                st = state.get(t)
-                if st is None or st == 0 or (st == 1 and parent[q] != t):
-                    self.counters.edges_processed += 1
-                if st == 0:
-                    state[t] = 1
-                    parent[t] = q
-                    depth[t] = depth[q] + 1
-                    children[q].append(t)
-                    stack.append((t, iter(adj[t])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                state[q] = 2
+        restricted_dfs(adj, (entry,), fresh, parent, depth, children)
+        self.counters.edges_processed += entries - twice_internal // 2
         tree.dfn_valid = False
         self.counters.rebuilds += 1
 
     # -- directed: full candidate-set re-traversal -------------------------
 
-    def _reject(self, x, y):
-        self.graph.remove_edge(x, y)
-        self.counters.insertions -= 1
-        raise CycleError(f"insertion ({x},{y}) closes a cycle")
-
     def _apply_directed(self, x, y):
         tree = self.tree
         if not tree.dfn_valid:
             tree.recompute_dfn()
-        dfn = tree.dfn
+        parent, depth, children, dfn = tree.parent, tree.depth, tree.children, tree.dfn
         if dfn[x] >= dfn[y]:
             return
         w = lca(tree, x, y)
+        dag = self.mode == "dag"
         if w == y:
-            if self.mode == "dag":
-                self._reject(x, y)
+            if dag:
+                reject(self, x, y)
             return
         lo = dfn[x]
-        if self.mode == "dag":
+        if dag:
             hi = dfn[y]
         else:
             c = y
-            while tree.parent[c] != w:
-                c = tree.parent[c]
+            while parent[c] != w:
+                c = parent[c]
             hi = dfn[c]
-        self._epoch += 1
-        epoch, stamp = self._epoch, self._stamp
-        CAND, SEEN = epoch, -epoch
-        candidates = [v for v in range(1, tree.n + 1) if lo < dfn[v] <= hi]
-        blocked = set()
-        a = tree.parent[x]
+        fresh = [lo < r <= hi for r in dfn]
+        blocked = []
+        a = parent[x]
         while a != w:
-            blocked.add(a)
-            a = tree.parent[a]
-        candidates = [v for v in candidates if v not in blocked]
-        for v in candidates:
-            stamp[v] = CAND
-        self.counters.vertices_remarked += len(candidates)
-        roots = sorted(
-            (v for v in candidates if stamp[tree.parent[v]] != CAND),
-            key=lambda v: dfn[v],
-        )
+            blocked.append(a)
+            fresh[a] = False
+            a = parent[a]
+        candidates = list(compress(range(len(fresh)), fresh))
+        roots = sorted((v for v in candidates if not fresh[parent[v]]), key=dfn.__getitem__)
+        touched_parents = {parent[r] for r in roots}
         adj = self.graph.out_adj
 
-        # phase 1: resume through (x, y); mutation is deferred so a cycle
-        # found while replaying a dag sequence leaves the state untouched
-        stamp[y] = SEEN
-        dfs_children = {y: []}
-        stack = [(y, iter(adj[y]))]
-        while stack:
-            q, it = stack[-1]
-            advanced = False
-            for t in it:
-                self.counters.edges_processed += 1
-                if self.mode == "dag" and (t == x or t in blocked):
-                    for v in dfs_children:
-                        stamp[v] = 0
-                    self._reject(x, y)
-                if stamp[t] == CAND:
-                    stamp[t] = SEEN
-                    dfs_children[q].append(t)
-                    dfs_children[t] = []
-                    stack.append((t, iter(adj[t])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
+        # phase 1: resume through (x, y) into scratch mappings, with x and
+        # its blocked ancestors as dag tripwires (see fdfs)
+        for a in blocked:
+            fresh[a] = dag
+        fresh[x] = dag
+        new_parent = {}
+        new_children = defaultdict(list)
+        post = restricted_dfs(adj, (y,), fresh, new_parent, {y: 0}, new_children)
+        if dag and not (fresh[x] and all(map(fresh.__getitem__, blocked))):
+            reject(self, x, y)
+        for a in blocked:
+            fresh[a] = False
+        fresh[x] = False
+        self.counters.vertices_remarked += len(candidates)
 
-        parent, depth, children = tree.parent, tree.depth, tree.children
-        touched_parents = {parent[r] for r in roots}
         for v in candidates:
             children[v] = []
-        for v, kids in dfs_children.items():
-            children[v] = kids
-            for k in kids:
-                parent[k] = v
+        for v in post:
+            children[v] = new_children[v]
+        for v, p in new_parent.items():
+            parent[v] = p
         parent[y] = x
         children[x].append(y)
-        depth[y] = depth[x] + 1
-        walk = [y]
-        while walk:
-            q = walk.pop()
-            dq = depth[q] + 1
-            for k in children[q]:
-                depth[k] = dq
-                walk.append(k)
+        tree.refresh_depths(y)
 
         # phase 2: re-traverse every detached subtree whose root was not
-        # absorbed, left to right, re-hung in place; each re-traversal
-        # scans all out-edges of what it visits -- the expensive part
-        for r in roots:
-            if stamp[r] != CAND:
-                continue
-            stamp[r] = SEEN
-            stack = [(r, iter(adj[r]))]
-            while stack:
-                q, it = stack[-1]
-                advanced = False
-                for t in it:
-                    self.counters.edges_processed += 1
-                    if stamp[t] == CAND:
-                        stamp[t] = SEEN
-                        parent[t] = q
-                        depth[t] = depth[q] + 1
-                        children[q].append(t)
-                        stack.append((t, iter(adj[t])))
-                        advanced = True
-                        break
-                if not advanced:
-                    stack.pop()
+        # absorbed, left to right, re-hung in place: the expensive part
+        post += restricted_dfs(adj, roots, fresh, parent, depth, children)
+        self.counters.edges_processed += sum(map(len, map(adj.__getitem__, post)))
 
         # absorbed roots leave their old parents through this filter; the
         # survivors keep their original left-to-right positions

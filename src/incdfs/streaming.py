@@ -10,8 +10,10 @@ strongly connected component exactly from the retained subgraph.
 
 Bristle-internal edges are delegated to a wrapped incremental maintainer
 (re-hanging for undirected streams, bristle rebuilds for directed ones).
-Whenever the stick grows, retained edges swallowed by it are pruned, so
-the retained count stays O(n log n) on random streams.
+Whenever the stick grows, the maintainer prunes the retained edges it
+swallows, so the retained count stays O(n log n) on random streams.  The
+wrapper reads only the maintainer's public stick view: on_stick,
+discarded_edges, stored (directed) and prune_hook.
 """
 from __future__ import annotations
 
@@ -37,27 +39,13 @@ class StreamState:
             self.core.prune_hook = self._on_core_discard
         else:
             self.core = ADFS2(n)
-            self._known_stick = 0  # prefix length of the core stick seen so far
-            self._pruned = 0
-
-    # -- stick helpers -----------------------------------------------------
-
-    def _on_stick(self, v) -> bool:
-        if self.directed:
-            return bool(self.core.on_stick[v])
-        return bool(self.core._on_stick[v])
-
-    def _stick_depth(self, v) -> int:
-        return self.core.tree.depth[v]
 
     @property
     def retained_edges(self) -> int:
         """Stored non-tree edges with both endpoints in the bristles."""
         core = self.core
         tree_real = self.n - len(core.tree.children[ROOT])
-        if self.directed:
-            return core.graph.m - tree_real - core.discarded_edges
-        return core.graph.m - tree_real - self._pruned
+        return core.graph.m - tree_real - core.discarded_edges
 
     # -- directed bookkeeping ----------------------------------------------
 
@@ -65,46 +53,37 @@ class StreamState:
         # v sits on the stick, hence is an ancestor of every vertex; its
         # depth is frozen for the rest of the stream.  A source already on
         # the stick needs no witness: it reaches the whole tree anyway.
-        if self._on_stick(u):
+        if self.core.on_stick[u]:
             return
         cur = self.highest_back[u]
-        if cur is None or self._stick_depth(v) < self._stick_depth(cur):
+        depth = self.core.tree.depth
+        if cur is None or depth[v] < depth[cur]:
             self.highest_back[u] = v
 
     def _on_core_discard(self, u, v):
-        if self._on_stick(v):
+        if self.core.on_stick[v]:
             self._record_highest(u, v)
-
-    # -- undirected pruning ------------------------------------------------
-
-    def _prune_undirected(self):
-        core = self.core
-        stick = core._stick
-        while self._known_stick < len(stick):
-            q = stick[self._known_stick]
-            self._known_stick += 1
-            # stored back edges are keyed on their shallower endpoint, and
-            # the deeper endpoint of a stick-keyed edge is the only one
-            # that can still be off the stick -- pruning by key is complete
-            self._pruned += len(core._back[q])
-            core._back[q] = []
 
     # -- streaming ---------------------------------------------------------
 
     def stream_edge(self, u: int, v: int) -> bool:
-        """Consume one stream element; returns True when it was retained."""
+        """Consume one stream element; returns True when it was retained.
+
+        Endpoints are normalised first (Graph.endpoints): a non-integer one
+        raises GraphError before anything is counted."""
+        core = self.core
+        u, v = core.graph.endpoints(u, v)
         self.streamed += 1
-        if u == v or self.core.graph.has_edge(u, v):
+        if u == v or core.graph.has_edge(u, v):
             self.duplicates += 1
             return False
-        if self._on_stick(u) or self._on_stick(v):
+        on_stick = core.on_stick
+        if on_stick[u] or on_stick[v]:
             self.dropped += 1
-            if self.directed and self._on_stick(v):
+            if self.directed and on_stick[v]:
                 self._record_highest(u, v)
             return False
-        self.core.insert(u, v)
-        if not self.directed:
-            self._prune_undirected()
+        core.insert(u, v)
         self.peak_retained = max(self.peak_retained, self.retained_edges)
         return True
 
@@ -142,7 +121,7 @@ class StreamState:
             if p != ROOT:
                 adj[p].append(v)
         for u in range(1, n + 1):
-            adj[u].extend(self.core._stored[u])
+            adj[u].extend(self.core.stored[u])
             hb = self.highest_back[u]
             if hb is not None:
                 adj[u].append(hb)

@@ -5,10 +5,13 @@ being checked: ancestor sets are materialized explicitly, classification
 is done from first principles, and SCC uses scipy's csgraph rather than
 the package's Tarjan pass.
 """
+import copy
 import random
 
-from incdfs.core import ROOT, DfsTree, EdgeClass, Graph
+from incdfs.core import ROOT, DfsTree, EdgeClass, Graph, lca
+from incdfs.fdfs import CycleError, FdfsState
 from incdfs.sdfs2 import Sdfs2State
+from incdfs.sdfs3 import Sdfs3State
 
 
 def ancestor_set(tree, v):
@@ -113,6 +116,28 @@ def tree_from_parents(n, parents, child_order=None):
     return t
 
 
+# dag insertions that close a cycle, each after its prefix: y an ancestor
+# of x; the repair DFS entering x; the repair DFS entering a blocked
+# ancestor of x
+DAG_CYCLE_CASES = [
+    ([(1, 2), (2, 3)], (3, 1)),
+    ([(3, 1), (1, 4)], (4, 3)),
+    ([(1, 2), (3, 1)], (2, 3)),
+]
+
+
+def state_snapshot(algo):
+    """Deep copy of everything an insertion may change: the graph, the
+    tree with dfn (and fdfs's dfn_index) and the four counters."""
+    g, t, c = algo.graph, algo.tree, algo.counters
+    return copy.deepcopy((
+        g.m, g.real_edges(), g.out_adj, g.in_adj, g._eindex,
+        t.parent, t.children, t.depth, t.dfn, t.dfn_valid,
+        getattr(algo, "dfn_index", None),
+        c.edges_processed, c.rebuilds, c.insertions, c.vertices_remarked,
+    ))
+
+
 def reference_static_dfs(graph, interrupt=False):
     """Static DFS that charges edges_processed one scan at a time: the
     reference for core.static_dfs, which charges a full DFS in closed form.
@@ -201,10 +226,10 @@ class ReferenceSdfs2(Sdfs2State):
         adj = {}
         for q in bristles:
             if self.directed:
-                adj[q] = tree.children[q] + self._stored[q]
+                adj[q] = tree.children[q] + self.stored[q]
             else:
                 up = [] if q == root else [tree.parent[q]]
-                adj[q] = tree.children[q] + up + self._stored[q]
+                adj[q] = tree.children[q] + up + self.stored[q]
         adj[eu] = adj[eu] + [ev]
         if not self.directed:
             adj[ev] = adj[ev] + [eu]
@@ -213,7 +238,7 @@ class ReferenceSdfs2(Sdfs2State):
             if q != ROOT:
                 for c in tree.children[q]:
                     old_edges.add((q, c))
-            for t in self._stored[q]:
+            for t in self.stored[q]:
                 if self.directed or q < t:
                     old_edges.add((q, t))
         old_edges.add((eu, ev))
@@ -251,7 +276,7 @@ class ReferenceSdfs2(Sdfs2State):
         tree.dfn_valid = False
 
         for q in bristles:
-            self._stored[q] = []
+            self.stored[q] = []
             if self._stored_in is not None:
                 self._stored_in[q] = []
         for a, b in old_edges:
@@ -260,4 +285,285 @@ class ReferenceSdfs2(Sdfs2State):
             if not self.directed and parent[a] == b:
                 continue
             self._store(a, b)
-        self._recompute_stick()
+        self._grow_stick()
+
+
+def _reject_reference(algo, x, y):
+    algo.graph.remove_edge(x, y)
+    algo.counters.insertions -= 1
+    raise CycleError(f"insertion ({x},{y}) closes a cycle")
+
+
+class ReferenceFdfs(FdfsState):
+    """FdfsState with the rebuild that scans and charges one out-entry at a
+    time over epoch-stamped scratch marks and renumbers from a post-order
+    walk of the spliced subtree: the reference for FdfsState._rebuild, which
+    runs core.restricted_dfs and charges in closed form."""
+
+    def __init__(self, n, mode="dag"):
+        super().__init__(n, mode=mode)
+        self._stamp = [0] * (n + 1)
+        self._epoch = 0
+
+    def _rebuild(self, x, y, w):
+        tree = self.tree
+        dfn, index = tree.dfn, self.dfn_index
+        lo, hi = dfn[x], self._upper_rank(x, y, w)
+        self._epoch += 1
+        epoch, stamp = self._epoch, self._stamp
+        VISITED, BLOCKED = epoch, -epoch
+        a = tree.parent[x]
+        while a != w:
+            stamp[a] = BLOCKED
+            a = tree.parent[a]
+
+        def eligible(v):
+            return lo < dfn[v] <= hi and stamp[v] != BLOCKED
+
+        # phase 1: partial DFS from y over the candidate set
+        adj = self.graph.out_adj
+        stamp[y] = VISITED
+        dfs_children = {y: []}
+        stack = [(y, iter(adj[y]))]
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for t in it:
+                self.counters.edges_processed += 1
+                if self.mode == "dag" and (t == x or stamp[t] == BLOCKED):
+                    _reject_reference(self, x, y)
+                if stamp[t] != VISITED and eligible(t):
+                    stamp[t] = VISITED
+                    dfs_children[v].append(t)
+                    dfs_children[t] = []
+                    stack.append((t, iter(adj[t])))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+
+        # phase 2: splice the reached set in as a subtree rooted at y
+        reached = dfs_children.keys()
+        for v in reached:
+            p = tree.parent[v]
+            if stamp[p] != VISITED:
+                tree.children[p].remove(v)
+        for v in reached:
+            keep = [c for c in tree.children[v] if stamp[c] != VISITED]
+            tree.children[v] = dfs_children[v] + keep
+            for c in dfs_children[v]:
+                tree.parent[c] = v
+        tree.parent[y] = x
+        tree.children[x].append(y)
+        tree.depth[y] = tree.depth[x] + 1
+        walk = [y]
+        while walk:
+            v = walk.pop()
+            dv = tree.depth[v] + 1
+            for c in tree.children[v]:
+                tree.depth[c] = dv
+                walk.append(c)
+
+        # phase 3: renumber the contiguous rank interval [lo, hi]
+        old_block = [index[r] for r in range(lo, hi + 1)]
+        post = []
+        walk = [(y, False)]
+        while walk:
+            v, done = walk.pop()
+            if done:
+                post.append(v)
+                continue
+            walk.append((v, True))
+            for c in reversed(tree.children[v]):
+                walk.append((c, False))
+        moved = set(post)
+        new_block = post + [x]
+        new_block += [v for v in old_block if v not in moved and v != x]
+        for r, v in zip(range(lo, hi + 1), new_block):
+            dfn[v] = r
+            index[r] = v
+        self.counters.rebuilds += 1
+
+
+class ReferenceSdfs3(Sdfs3State):
+    """Sdfs3State with the repair loops that scan and charge one entry at a
+    time: the reference for Sdfs3State's restricted_dfs repairs, which
+    charge in closed form."""
+
+    def __init__(self, n, mode="undirected"):
+        super().__init__(n, mode=mode)
+        self._stamp = [0] * (n + 1)
+        self._epoch = 0
+
+    def _subtree_walker(self, root):
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            stack.extend(self.tree.children[v])
+            yield v
+
+    def _apply_undirected(self, x, y):
+        tree = self.tree
+        w = lca(tree, x, y)
+        if w == x or w == y:
+            return
+        r1 = x
+        while tree.parent[r1] != w:
+            r1 = tree.parent[r1]
+        r2 = y
+        while tree.parent[r2] != w:
+            r2 = tree.parent[r2]
+        it1, it2 = self._subtree_walker(r1), self._subtree_walker(r2)
+        while True:
+            if next(it2, None) is None:
+                root, entry, anchor = r2, y, x
+                break
+            self.counters.vertices_remarked += 1
+            if next(it1, None) is None:
+                root, entry, anchor = r1, x, y
+                break
+            self.counters.vertices_remarked += 1
+        members = list(self._subtree_walker(root))
+        # per-member state: 0 unvisited, 1 active, 2 finished
+        state = {v: 0 for v in members}
+        for v in members:
+            tree.children[v] = []
+        tree.children[w].remove(root)
+        parent, depth, children = tree.parent, tree.depth, tree.children
+        adj = self.graph.out_adj
+        parent[entry] = anchor
+        depth[entry] = depth[anchor] + 1
+        children[anchor].append(entry)
+        state[entry] = 1
+        stack = [(entry, iter(adj[entry]))]
+        while stack:
+            q, it = stack[-1]
+            advanced = False
+            for t in it:
+                if t == ROOT:
+                    continue
+                st = state.get(t)
+                if st is None or st == 0 or (st == 1 and parent[q] != t):
+                    self.counters.edges_processed += 1
+                if st == 0:
+                    state[t] = 1
+                    parent[t] = q
+                    depth[t] = depth[q] + 1
+                    children[q].append(t)
+                    stack.append((t, iter(adj[t])))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                state[q] = 2
+        tree.dfn_valid = False
+        self.counters.rebuilds += 1
+
+    def _apply_directed(self, x, y):
+        tree = self.tree
+        if not tree.dfn_valid:
+            tree.recompute_dfn()
+        dfn = tree.dfn
+        if dfn[x] >= dfn[y]:
+            return
+        w = lca(tree, x, y)
+        if w == y:
+            if self.mode == "dag":
+                _reject_reference(self, x, y)
+            return
+        lo = dfn[x]
+        if self.mode == "dag":
+            hi = dfn[y]
+        else:
+            c = y
+            while tree.parent[c] != w:
+                c = tree.parent[c]
+            hi = dfn[c]
+        self._epoch += 1
+        epoch, stamp = self._epoch, self._stamp
+        CAND, SEEN = epoch, -epoch
+        candidates = [v for v in range(1, tree.n + 1) if lo < dfn[v] <= hi]
+        blocked = set()
+        a = tree.parent[x]
+        while a != w:
+            blocked.add(a)
+            a = tree.parent[a]
+        candidates = [v for v in candidates if v not in blocked]
+        for v in candidates:
+            stamp[v] = CAND
+        self.counters.vertices_remarked += len(candidates)
+        roots = sorted(
+            (v for v in candidates if stamp[tree.parent[v]] != CAND),
+            key=lambda v: dfn[v],
+        )
+        adj = self.graph.out_adj
+
+        # phase 1: resume through (x, y), mutation deferred
+        stamp[y] = SEEN
+        dfs_children = {y: []}
+        stack = [(y, iter(adj[y]))]
+        while stack:
+            q, it = stack[-1]
+            advanced = False
+            for t in it:
+                self.counters.edges_processed += 1
+                if self.mode == "dag" and (t == x or t in blocked):
+                    for v in dfs_children:
+                        stamp[v] = 0
+                    _reject_reference(self, x, y)
+                if stamp[t] == CAND:
+                    stamp[t] = SEEN
+                    dfs_children[q].append(t)
+                    dfs_children[t] = []
+                    stack.append((t, iter(adj[t])))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+
+        parent, depth, children = tree.parent, tree.depth, tree.children
+        touched_parents = {parent[r] for r in roots}
+        for v in candidates:
+            children[v] = []
+        for v, kids in dfs_children.items():
+            children[v] = kids
+            for k in kids:
+                parent[k] = v
+        parent[y] = x
+        children[x].append(y)
+        depth[y] = depth[x] + 1
+        walk = [y]
+        while walk:
+            q = walk.pop()
+            dq = depth[q] + 1
+            for k in children[q]:
+                depth[k] = dq
+                walk.append(k)
+
+        # phase 2: re-traverse every detached subtree whose root was not
+        # absorbed, left to right, re-hung in place
+        for r in roots:
+            if stamp[r] != CAND:
+                continue
+            stamp[r] = SEEN
+            stack = [(r, iter(adj[r]))]
+            while stack:
+                q, it = stack[-1]
+                advanced = False
+                for t in it:
+                    self.counters.edges_processed += 1
+                    if stamp[t] == CAND:
+                        stamp[t] = SEEN
+                        parent[t] = q
+                        depth[t] = depth[q] + 1
+                        children[q].append(t)
+                        stack.append((t, iter(adj[t])))
+                        advanced = True
+                        break
+                if not advanced:
+                    stack.pop()
+
+        for p in touched_parents:
+            children[p] = [ch for ch in children[p] if parent[ch] == p]
+        tree.recompute_dfn()
+        self.counters.rebuilds += 1

@@ -440,10 +440,11 @@ def _twin_adfs1(algo):
     twin.adversarial_order = algo.adversarial_order
     twin.pending = list(algo.pending)
     twin._back = [list(l) for l in algo._back]
-    _contract_stick(twin.tree, algo._stick)
-    twin._on_stick = bytearray(algo.n + 1)
-    twin._stick = []
-    twin._stick_valid = True
+    twin.discarded_edges = algo.discarded_edges
+    _contract_stick(twin.tree, algo.stick)
+    twin.on_stick = bytearray(algo.n + 1)
+    twin.stick = []
+    twin.bristle_root = algo.bristle_root
     return twin
 
 
@@ -454,12 +455,12 @@ def _twin_sdfs2(algo):
     twin.tree = _fork_tree(algo.tree)
     twin.discarded_edges = algo.discarded_edges
     twin.bristle_root = algo.bristle_root
-    twin._stored = [list(l) for l in algo._stored]
+    twin.stored = [list(l) for l in algo.stored]
     twin._stored_in = None
     twin.prune_hook = None
-    _contract_stick(twin.tree, algo._stick)
+    _contract_stick(twin.tree, algo.stick)
     twin.on_stick = bytearray(algo.n + 1)
-    twin._stick = []
+    twin.stick = []
     return twin
 
 
@@ -468,7 +469,7 @@ def _twin_equality_run(make, fork, seed, n, m):
     algo = make(n)
     compared = 0
     for u, v in seq.edges:
-        stick = algo._stick
+        stick = algo.stick
         if stick and not (
             algo.tree.depth[u] <= len(stick) or algo.tree.depth[v] <= len(stick)
         ):

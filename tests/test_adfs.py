@@ -57,7 +57,7 @@ class TestAdfsBasics:
         seq = gen_gnm(80, 800, seed=9)
         algo = algo_cls(seq.n)
         for u, v in seq.edges:
-            stick = list(algo._stick)
+            stick = list(algo.stick)
             parents = {q: algo.tree.parent[q] for q in stick}
             algo.insert(u, v)
             for q in stick:

@@ -2,8 +2,11 @@ import io
 
 import pytest
 
-from incdfs.bench import read_csv
+from incdfs.adfs import ADFS1
+from incdfs.bench import make_algorithm, read_csv, replay
 from incdfs.cli import main
+from incdfs.core import GraphError
+from incdfs.generators import gen_worstcase_adfs1
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +68,34 @@ class TestWorstcaseCommand:
         )
         assert code == 0
         assert "worstcase-" in err and "total=" in err
+
+    def test_adfs1_built_as_by_the_factory(self, capsys, monkeypatch):
+        # the CLI asks make_algorithm for the adversarial pool order; it
+        # does not set the attribute after construction
+        import incdfs.cli as cli
+
+        built = []
+
+        def spy(algo, seq, **kwargs):
+            built.append(algo)
+            return replay(algo, seq, **kwargs)
+
+        monkeypatch.setattr(cli, "replay", spy)
+        code, _, _ = run_cli(capsys, "worstcase", "--algo", "adfs1", "--n", "64",
+                             "--m", "256", "--sample-every", "1000")
+        assert code == 0
+        (algo,) = built
+        seq = gen_worstcase_adfs1(64, 256)
+        twin = make_algorithm("adfs1", seq.n, "undirected", adversarial_order=True)
+        replay(twin, seq, sample_every=1000)
+        assert type(algo) is type(twin) is ADFS1
+        assert algo.adversarial_order is twin.adversarial_order is True
+        assert repr(algo.counters) == repr(twin.counters)
+        assert algo.tree.parent == twin.tree.parent
+
+    def test_adversarial_order_is_adfs1_only(self):
+        with pytest.raises(GraphError):
+            make_algorithm("adfs2", 8, "undirected", adversarial_order=True)
 
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "worstcase", "--algo", "sdfs")

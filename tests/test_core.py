@@ -16,10 +16,12 @@ from incdfs.core import (
     classify_edge,
     is_valid_dfs_tree,
     lca,
+    restricted_dfs,
     static_dfs,
     stick_profile,
 )
 from incdfs.generators import gen_gnm
+from incdfs.streaming import StreamState
 from oracles import (
     brute_classify,
     brute_lca,
@@ -133,6 +135,77 @@ def test_numpy_endpoints_never_reach_the_tree(name, mode):
         assert all(type(p) is int for p in t.parent)
         assert all(type(c) is int for kids in t.children for c in kids)
         assert batched.graph.real_edges() == ref.graph.real_edges()
+
+
+@pytest.mark.parametrize("name,mode", ALGO_MODES)
+def test_float_endpoints_rejected_before_duplicate_check(name, mode):
+    # the self-loop and duplicate checks see normalised endpoints, so a
+    # float endpoint raises even when its integer value is a known edge
+    algo = make_algorithm(name, 5, mode)
+    algo.insert(1, 2)
+    before = (_tree_state(algo), algo.graph.real_edges())
+    for u, v in ((1.0, 2), (2.0, 2.0), (1, 2.5)):
+        with pytest.raises(GraphError):
+            algo.insert(u, v)
+        if algo.supports_batch:
+            with pytest.raises(GraphError):
+                algo.insert_batch([(u, v)])
+    assert (_tree_state(algo), algo.graph.real_edges()) == before
+    assert not algo.insert(1, 2)
+    assert not algo.insert(3, 3)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_stream_float_endpoints_rejected(directed):
+    st = StreamState(5, directed=directed)
+    st.stream_edge(1, 2)
+    for u, v in ((1.0, 2), (2.0, 2.0)):
+        with pytest.raises(GraphError):
+            st.stream_edge(u, v)
+    assert (st.streamed, st.duplicates, st.core.graph.m) == (1, 0, 1)
+    assert not st.stream_edge(np.int64(1), np.int64(2))
+    assert st.duplicates == 1
+
+
+def naive_restricted_dfs(adj, roots, fresh, parent, depth, children):
+    """Recursive restricted DFS: the reference for core.restricted_dfs."""
+    post = []
+
+    def visit(u):
+        for w in adj[u]:
+            if fresh[w]:
+                fresh[w] = False
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                children[u].append(w)
+                visit(w)
+        post.append(u)
+
+    for r in roots:
+        if fresh[r]:
+            fresh[r] = False
+            visit(r)
+    return post
+
+
+@given(st.integers(0, 10_000), st.integers(1, 30), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_restricted_dfs_matches_recursive(seed, n, symmetric):
+    rng = random.Random(seed)
+    adj = [[] for _ in range(n)]
+    for _ in range(rng.randrange(0, 3 * n + 1)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        adj[u].append(v)
+        if symmetric:
+            adj[v].append(u)
+    fresh = [rng.random() < 0.7 for _ in range(n)]
+    roots = [rng.randrange(n) for _ in range(rng.randrange(0, 4))]
+    depth = [rng.randrange(5) for _ in range(n)]
+    runs = []
+    for dfs in (restricted_dfs, naive_restricted_dfs):
+        state = (list(fresh), [-1] * n, list(depth), [[] for _ in range(n)])
+        runs.append((dfs(adj, roots, *state), state))
+    assert runs[0] == runs[1]
 
 
 class TestStaticDfs:

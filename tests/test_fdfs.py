@@ -3,7 +3,7 @@ import pytest
 from incdfs.core import EdgeClass, GraphError, classify_edge, is_valid_dfs_tree
 from incdfs.fdfs import CycleError, FdfsState
 from incdfs.generators import gen_gnm, gen_worstcase_fdfs
-from oracles import ancestor_set
+from oracles import DAG_CYCLE_CASES, ReferenceFdfs, ancestor_set, state_snapshot
 
 
 def dfn_is_postorder(algo):
@@ -40,16 +40,21 @@ class TestSmallCases:
         assert dfn_is_postorder(algo)
 
     def test_cycle_rejected_and_state_restored(self):
-        algo = FdfsState(3, mode="dag")
-        algo.insert(1, 2)
-        algo.insert(2, 3)
-        m = algo.graph.m
-        with pytest.raises(CycleError):
-            algo.insert(3, 1)
-        assert algo.graph.m == m
-        assert not algo.graph.has_edge(3, 1)
-        assert algo.counters.insertions == 2
-        assert is_valid_dfs_tree(algo.graph, algo.tree).ok
+        # graph, tree, dfn, dfn_index and all four counters as before
+        for prefix, (x, y) in DAG_CYCLE_CASES:
+            algo = FdfsState(4, mode="dag")
+            for e in prefix:
+                algo.insert(*e)
+            m = algo.graph.m
+            before = state_snapshot(algo)
+            with pytest.raises(CycleError):
+                algo.insert(x, y)
+            assert state_snapshot(algo) == before
+            assert algo.graph.m == m
+            assert not algo.graph.has_edge(x, y)
+            assert algo.counters.insertions == len(prefix)
+            assert is_valid_dfs_tree(algo.graph, algo.tree).ok
+            assert dfn_is_postorder(algo)
 
     def test_indirect_cycle_rejected(self):
         algo = FdfsState(4, mode="dag")
@@ -175,3 +180,31 @@ def test_no_batch_mode():
     algo = FdfsState(5, mode="dag")
     with pytest.raises(NotImplementedError):
         algo.insert_batch([(1, 2)])
+
+
+def _fdfs_state(algo):
+    t, c = algo.tree, algo.counters
+    return (t.parent, t.children, t.depth, t.dfn, algo.dfn_index,
+            c.edges_processed, c.rebuilds, c.insertions, c.vertices_remarked)
+
+
+@pytest.mark.parametrize(
+    "n,m,seed,mode",
+    [(60, 600, s, mode) for s in range(3) for mode in ("directed", "dag")]
+    + [(300, 1500, 1, "directed"), (300, 1500, 1, "dag"), (100, 800, None, "worstcase")],
+)
+def test_rebuild_matches_reference(n, m, seed, mode):
+    # the restricted_dfs rebuild gives the reference's trees, dfn,
+    # dfn_index and counters after every insertion
+    if mode == "worstcase":
+        seq = gen_worstcase_fdfs(n, m)
+        mode = "dag"
+    else:
+        seq = gen_gnm(n, m, seed=seed, mode=mode)
+    algo = FdfsState(seq.n, mode=mode)
+    ref = ReferenceFdfs(seq.n, mode=mode)
+    for u, v in seq.edges:
+        algo.insert(u, v)
+        ref.insert(u, v)
+        assert _fdfs_state(algo) == _fdfs_state(ref)
+    assert algo.counters.rebuilds > 50

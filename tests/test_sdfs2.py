@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from incdfs.bench import make_algorithm
 from incdfs.core import ROOT, DfsTree, is_valid_dfs_tree, stick_profile
 from incdfs.generators import gen_gnm, gen_worstcase_sdfs3
 from incdfs.sdfs2 import Sdfs2State
@@ -18,8 +19,8 @@ def build_chain(n):
 
 def stored_count(algo):
     if algo.directed:
-        return sum(len(lst) for lst in algo._stored)
-    return sum(len(lst) for lst in algo._stored) // 2
+        return sum(len(lst) for lst in algo.stored)
+    return sum(len(lst) for lst in algo.stored) // 2
 
 
 def bristle_tree_edges(algo):
@@ -52,15 +53,30 @@ class TestStickHandling:
         assert algo.counters.rebuilds == 1
         assert is_valid_dfs_tree(algo.graph, algo.tree).ok
 
-    def test_on_stick_matches_stick_profile(self):
-        seq = gen_gnm(80, 600, seed=14)
-        algo = Sdfs2State(80)
+    @pytest.mark.parametrize("name,mode", [
+        ("adfs1", "undirected"), ("adfs2", "undirected"),
+        ("sdfs2", "undirected"), ("sdfs2", "directed"),
+    ])
+    def test_on_stick_matches_stick_profile(self, name, mode):
+        # the stick view, resumed below the old stick after every
+        # insertion, equals a fresh walk down from the root
+        seq = gen_gnm(80, 600 if mode == "undirected" else 2000, seed=14, mode=mode)
+        algo = make_algorithm(name, 80, mode)
+        grown = False
         for u, v in seq.edges:
             algo.insert(u, v)
             prof = stick_profile(algo.tree)
+            chain, cur = [], ROOT
+            while len(algo.tree.children[cur]) == 1:
+                cur = algo.tree.children[cur][0]
+                chain.append(cur)
+            assert algo.stick == chain[:-1]
             marked = {v for v in range(1, 81) if algo.on_stick[v]}
+            assert marked == set(algo.stick)
             assert len(marked) == prof.l_s
-            assert algo.bristle_root == prof.bristle_root
+            assert algo.bristle_root == prof.bristle_root == cur
+            grown = grown or prof.l_s > 0
+        assert grown
 
     def test_no_stored_edge_touches_stick(self):
         seq = gen_gnm(100, 900, seed=3)
@@ -69,7 +85,7 @@ class TestStickHandling:
             algo.insert(u, v)
             for q in range(1, 101):
                 if algo.on_stick[q]:
-                    assert not algo._stored[q]
+                    assert not algo.stored[q]
 
     def test_prune_hook_sees_every_discard(self):
         seq = gen_gnm(60, 500, seed=21)
@@ -126,17 +142,17 @@ def test_rebuild_cost_independent_of_stick():
     algo = Sdfs2State(60)
     compared = 0
     for u, v in seq.edges:
-        if algo._stick and not algo.on_stick[u] and not algo.on_stick[v]:
+        if algo.stick and not algo.on_stick[u] and not algo.on_stick[v]:
             twin = copy.deepcopy(algo)
             t = twin.tree
-            for q in twin._stick:
+            for q in twin.stick:
                 t.parent[q] = -2
                 t.children[q] = []
             t.children[ROOT] = [twin.bristle_root]
             t.parent[twin.bristle_root] = ROOT
             t.refresh_depths(twin.bristle_root)
             twin.on_stick = bytearray(61)
-            twin._stick = []
+            twin.stick = []
             b0, b1 = algo.counters.edges_processed, twin.counters.edges_processed
             algo.insert(u, v)
             twin.insert(u, v)
@@ -186,7 +202,7 @@ def test_no_batch_mode():
 def _full_state(algo):
     t = algo.tree
     c = algo.counters
-    return (t.parent, t.children, t.depth, algo._stored, algo._stored_in,
+    return (t.parent, t.children, t.depth, algo.stored, algo._stored_in,
             c.edges_processed, c.rebuilds, c.insertions, c.vertices_remarked,
             algo.discarded_edges, bytes(algo.on_stick), algo.bristle_root)
 

@@ -2,8 +2,9 @@ import pytest
 
 from incdfs.core import ROOT, GraphError, is_valid_dfs_tree
 from incdfs.fdfs import CycleError, FdfsState
-from incdfs.generators import gen_gnm
+from incdfs.generators import gen_gnm, gen_worstcase_fdfs, gen_worstcase_sdfs3
 from incdfs.sdfs3 import Sdfs3State
+from oracles import DAG_CYCLE_CASES, ReferenceSdfs3, state_snapshot
 
 
 def two_subtree_fixture(left_chain, right_chain, n=8):
@@ -119,16 +120,20 @@ class TestDirected:
         assert dfn_is_postorder(algo.tree)
 
     def test_cycle_rejected_and_state_restored(self):
-        algo = Sdfs3State(3, mode="dag")
-        algo.insert(1, 2)
-        algo.insert(2, 3)
-        parents = list(algo.tree.parent)
-        with pytest.raises(CycleError):
-            algo.insert(3, 1)
-        assert not algo.graph.has_edge(3, 1)
-        assert algo.counters.insertions == 2
-        assert algo.tree.parent == parents
-        assert is_valid_dfs_tree(algo.graph, algo.tree).ok
+        # graph, tree, dfn and all four counters as before
+        for prefix, (x, y) in DAG_CYCLE_CASES:
+            algo = Sdfs3State(4, mode="dag")
+            for e in prefix:
+                algo.insert(*e)
+            parents = list(algo.tree.parent)
+            before = state_snapshot(algo)
+            with pytest.raises(CycleError):
+                algo.insert(x, y)
+            assert state_snapshot(algo) == before
+            assert not algo.graph.has_edge(x, y)
+            assert algo.counters.insertions == len(prefix)
+            assert algo.tree.parent == parents
+            assert is_valid_dfs_tree(algo.graph, algo.tree).ok
 
     def test_cost_close_to_rank_interval_algorithm(self):
         n = 256
@@ -151,3 +156,33 @@ def test_no_batch_mode():
     algo = Sdfs3State(5)
     with pytest.raises(NotImplementedError):
         algo.insert_batch([(1, 2)])
+
+
+def _sdfs3_state(algo):
+    t, c = algo.tree, algo.counters
+    return (t.parent, t.children, t.depth, t.dfn, t.dfn_valid,
+            c.edges_processed, c.rebuilds, c.insertions, c.vertices_remarked)
+
+
+@pytest.mark.parametrize(
+    "n,m,seed,mode",
+    [(60, 600, s, mode) for s in range(3) for mode in ("undirected", "directed", "dag")]
+    + [(300, 1500, 1, "undirected"), (300, 1500, 1, "directed"),
+       (120, 500, None, "worstcase_sdfs3"), (100, 800, None, "worstcase_fdfs")],
+)
+def test_repairs_match_reference(n, m, seed, mode):
+    # the restricted_dfs repairs give the reference's trees, dfn and
+    # counters after every insertion
+    if mode == "worstcase_sdfs3":
+        seq, mode = gen_worstcase_sdfs3(n, m), "undirected"
+    elif mode == "worstcase_fdfs":
+        seq, mode = gen_worstcase_fdfs(n, m), "dag"
+    else:
+        seq = gen_gnm(n, m, seed=seed, mode=mode)
+    algo = Sdfs3State(seq.n, mode=mode)
+    ref = ReferenceSdfs3(seq.n, mode=mode)
+    for u, v in seq.edges:
+        algo.insert(u, v)
+        ref.insert(u, v)
+        assert _sdfs3_state(algo) == _sdfs3_state(ref)
+    assert algo.counters.rebuilds > 50

@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,7 +61,7 @@ class TestStickDiscard:
     def test_both_endpoints_on_stick_dropped(self):
         st = StreamState(5, directed=False)
         st.stream_sequence([(1, 2), (2, 3), (3, 4), (4, 5)])
-        assert st._on_stick(1) and st._on_stick(3)
+        assert st.core.on_stick[1] and st.core.on_stick[3]
         before = st.retained_edges
         assert not st.stream_edge(1, 3)
         assert st.retained_edges == before
@@ -68,7 +70,7 @@ class TestStickDiscard:
     def test_bristle_back_edge_retained(self):
         st = StreamState(6, directed=False)
         st.stream_sequence([(1, 2), (2, 3), (3, 4), (4, 5), (3, 6)])
-        assert not st._on_stick(3) and not st._on_stick(5)
+        assert not st.core.on_stick[3] and not st.core.on_stick[5]
         assert st.stream_edge(3, 5)
         assert st.retained_edges == 1
 
@@ -78,7 +80,7 @@ class TestStickDiscard:
         seq = gen_gnm(60, 400, seed=3)
         for u, v in seq.edges:
             st.stream_edge(u, v)
-            stick = [q for q in range(1, 61) if st._on_stick(q)]
+            stick = [q for q in range(1, 61) if st.core.on_stick[q]]
             back = st.core._back
             for q in stick:
                 assert not back[q]
@@ -91,7 +93,7 @@ class TestStickDiscard:
         for u in range(1, 41):
             hb = st.highest_back[u]
             if hb is not None:
-                assert st._on_stick(hb)
+                assert st.core.on_stick[hb]
                 assert depth[hb] < depth[u]
 
 
@@ -135,3 +137,17 @@ class TestSpaceBound:
         st = StreamState(30, directed=True)
         st.stream_file(path)
         assert st.scc_query() == offline_scc(30, seq.edges)
+
+
+def test_streaming_reads_no_private_core_attribute():
+    # StreamState talks to its core through the public stick view only
+    source = Path(__file__).resolve().parent.parent / "src" / "incdfs" / "streaming.py"
+    private = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "core") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "core"
+            ):
+                private.append((node.lineno, node.attr))
+    assert private == []
