@@ -9,6 +9,12 @@ v is reversed.  Stored back edges keyed on the reversed path may have
 turned into cross edges; they are all moved to a pending pool and
 reprocessed under the variant's order until the pool is empty.
 
+ADFS1 drains the pool in LIFO order (list.pop, O(1) per pop) unless built
+with adversarial_order.  The keyed orders -- adversarial ADFS1 and ADFS2 --
+pop a binary heap of (key, u, v) entries: O(log p) per pop for a pool of
+p edges, plus one O(p) re-key and heapify after every re-hang, the only
+step that moves the depths the keys are made of.
+
 Edges with an endpoint on the stick proper are ancestor-related to every
 vertex, so they are dropped on sight, and the stored edges keyed on a
 vertex are dropped when it joins the stick; discarded_edges counts both.
@@ -21,6 +27,8 @@ edges_processed once.  Structural bookkeeping -- path reversal, depth
 refresh of the moved subtree, stick upkeep -- is deliberately uncharged.
 """
 from __future__ import annotations
+
+from heapq import heapify, heappop
 
 from .base import IncrementalDfs
 from .core import ROOT, GraphError, extend_stick, lca
@@ -77,37 +85,32 @@ class AdfsState(IncrementalDfs):
         tree.dfn_valid = False
         self.counters.rebuilds += 1
 
-    # -- pool policies -----------------------------------------------------
+    # -- pool orders -------------------------------------------------------
 
-    def _pop(self):
-        raise NotImplementedError
+    def _drain_lifo(self):
+        pending = self.pending
+        while pending:
+            u, v = pending.pop()
+            self._process(u, v)
 
-    def _pop_lifo(self):
-        return self.pending.pop()
+    def _drain_keyed(self):
+        """Pop the pool in _key order, smallest first, from a binary heap.
 
-    def _pop_adversarial(self):
-        # deepest shallower endpoint first, then shallowest deeper
-        # endpoint: picks the stage witness in the worst-case replays
-        depth = self.tree.depth
-        best_i, best_key = 0, None
-        for i, (u, v) in enumerate(self.pending):
-            du, dv = depth[u], depth[v]
-            key = (min(du, dv), -max(du, dv), -min(u, v), -max(u, v))
-            if best_key is None or key > best_key:
-                best_i, best_key = i, key
-        return self.pending.pop(best_i)
-
-    def _pop_min_shallow(self):
-        # ADFS2: minimum-depth shallower endpoint, ties on its vertex id
-        depth = self.tree.depth
-        best_i, best_key = 0, None
-        for i, (u, v) in enumerate(self.pending):
-            if depth[u] > depth[v] or (depth[u] == depth[v] and u > v):
-                u, v = v, u
-            key = (depth[u], u, v)
-            if best_key is None or key < best_key:
-                best_i, best_key = i, key
-        return self.pending.pop(best_i)
+        Both keys read depths, and only a re-hang moves them, so every
+        re-hang marks the heap stale and the next pop first re-keys every
+        live entry (O(p)), including those the re-hang displaced into
+        pending; any other pop is a heappop (O(log p)).  Keys are unique
+        per edge, so the pops are exactly those of a rescan per pop."""
+        key, pending = self._key, self.pending
+        heap, stale = [], True
+        while heap or pending:
+            if stale:
+                heap = [(key(u, v), u, v) for _, u, v in heap]
+                heap += [(key(u, v), u, v) for u, v in pending]
+                pending.clear()
+                heapify(heap)
+            _, u, v = heappop(heap)
+            stale = self._process(u, v)
 
     # -- driver ------------------------------------------------------------
 
@@ -136,11 +139,6 @@ class AdfsState(IncrementalDfs):
         self._rehang(x, y, w)
         return True
 
-    def _drain(self):
-        while self.pending:
-            u, v = self._pop()
-            self._process(u, v)
-
     def _apply(self, u, v):
         # without a re-hang the tree, the empty pool and the stick stand
         if self._process(u, v):
@@ -166,18 +164,40 @@ class AdfsState(IncrementalDfs):
 
 
 class ADFS1(AdfsState):
+    """Pool in LIFO order, or in the adversarial order that reaches the
+    O(n^{3/2} sqrt(m)) bound: the deepest shallower endpoint first, then
+    the shallowest deeper endpoint, then the smaller ids.  That order picks
+    the stage witness in the worst-case replays."""
+
     name = "adfs1"
     variant = "adfs1"
 
-    def _pop(self):
+    def _drain(self):
         if self.adversarial_order:
-            return self._pop_adversarial()
-        return self._pop_lifo()
+            self._drain_keyed()
+        else:
+            self._drain_lifo()
+
+    def _key(self, u, v):
+        # the maximum of (shallower depth, -deeper depth, -min id, -max id),
+        # negated for the min-heap
+        depth = self.tree.depth
+        du, dv = depth[u], depth[v]
+        if du > dv:
+            du, dv = dv, du
+        return (-du, dv, u, v) if u < v else (-du, dv, v, u)
 
 
 class ADFS2(AdfsState):
+    """Pool in order of the shallower endpoint's depth, then its id."""
+
     name = "adfs2"
     variant = "adfs2"
 
-    def _pop(self):
-        return self._pop_min_shallow()
+    _drain = AdfsState._drain_keyed
+
+    def _key(self, u, v):
+        depth = self.tree.depth
+        if depth[u] > depth[v] or (depth[u] == depth[v] and u > v):
+            u, v = v, u
+        return (depth[u], u, v)

@@ -69,10 +69,13 @@ class StreamState:
     def stream_edge(self, u: int, v: int) -> bool:
         """Consume one stream element; returns True when it was retained.
 
-        Endpoints are normalised first (Graph.endpoints): a non-integer one
-        raises GraphError before anything is counted."""
+        Endpoints are normalised (Graph.endpoints) and range-checked first:
+        a non-integer endpoint, or one outside 1..n, raises GraphError
+        before anything is counted."""
         core = self.core
         u, v = core.graph.endpoints(u, v)
+        if not (1 <= u <= self.n and 1 <= v <= self.n):
+            raise GraphError(f"endpoint out of range in ({u},{v})")
         self.streamed += 1
         if u == v or core.graph.has_edge(u, v):
             self.duplicates += 1

@@ -8,6 +8,7 @@ the package's Tarjan pass.
 import copy
 import random
 
+from incdfs.adfs import ADFS1, ADFS2
 from incdfs.core import ROOT, DfsTree, EdgeClass, Graph, lca
 from incdfs.fdfs import CycleError, FdfsState
 from incdfs.sdfs2 import Sdfs2State
@@ -204,6 +205,53 @@ def reference_static_dfs(graph, interrupt=False):
                 rank += 1
     tree.dfn_valid = True
     return tree, scanned
+
+
+class _ScanningPool:
+    """ADFS pool drain that rescans the whole pool on every pop, keying
+    each entry from the current depths: the reference for the heap pool,
+    which re-keys once per re-hang."""
+
+    def _drain(self):
+        while self.pending:
+            u, v = self._pop()
+            self._process(u, v)
+
+    def _pop_adversarial(self):
+        # deepest shallower endpoint first, then shallowest deeper
+        # endpoint: picks the stage witness in the worst-case replays
+        depth = self.tree.depth
+        best_i, best_key = 0, None
+        for i, (u, v) in enumerate(self.pending):
+            du, dv = depth[u], depth[v]
+            key = (min(du, dv), -max(du, dv), -min(u, v), -max(u, v))
+            if best_key is None or key > best_key:
+                best_i, best_key = i, key
+        return self.pending.pop(best_i)
+
+    def _pop_min_shallow(self):
+        # ADFS2: minimum-depth shallower endpoint, ties on its vertex id
+        depth = self.tree.depth
+        best_i, best_key = 0, None
+        for i, (u, v) in enumerate(self.pending):
+            if depth[u] > depth[v] or (depth[u] == depth[v] and u > v):
+                u, v = v, u
+            key = (depth[u], u, v)
+            if best_key is None or key < best_key:
+                best_i, best_key = i, key
+        return self.pending.pop(best_i)
+
+
+class ReferenceAdfs1(_ScanningPool, ADFS1):
+    def _pop(self):
+        if self.adversarial_order:
+            return self._pop_adversarial()
+        return self.pending.pop()
+
+
+class ReferenceAdfs2(_ScanningPool, ADFS2):
+    def _pop(self):
+        return self._pop_min_shallow()
 
 
 class ReferenceSdfs2(Sdfs2State):

@@ -56,6 +56,30 @@ class TestBasics:
         assert st.duplicates == 3
         assert st.core.graph.m == 1
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_out_of_range_endpoint_rejected_before_counting(self, directed):
+        # the range check runs before any counter or the core is touched,
+        # also for an endpoint on or below the pseudo root and a self loop
+        st = StreamState(5, directed=directed)
+        st.stream_sequence([(1, 2), (2, 3), (3, 4), (4, 5)])
+
+        def state():
+            core = st.core
+            return (
+                st.streamed, st.duplicates, st.dropped, st.peak_retained,
+                list(st.highest_back), core.graph.real_edges(),
+                list(core.tree.parent), core.counters.edges_processed,
+                core.discarded_edges, st.retained_edges,
+            )
+
+        before = state()
+        for u, v in ((1, 6), (6, 1), (0, 3), (3, -1), (6, 6)):
+            with pytest.raises(GraphError):
+                st.stream_edge(u, v)
+            assert state() == before
+        assert st.stream_edge(1, 5) is False  # dropped: 1 is on the stick
+        assert st.streamed == before[0] + 1
+
 
 class TestStickDiscard:
     def test_both_endpoints_on_stick_dropped(self):
