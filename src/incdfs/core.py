@@ -112,6 +112,8 @@ class Graph:
         """
         u, v = self.endpoints(u, v)
         if u == v:
+            if not 1 <= u <= self.n:
+                raise GraphError(f"endpoint out of range in ({u},{v})")
             return None
         key = self._key(u, v)
         if key in self._eindex:

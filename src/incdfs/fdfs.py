@@ -1,23 +1,26 @@
 """FDFS: incremental DFS for DAGs and general directed graphs.
 
-The tree's post-order numbering (dfn) is maintained exactly.  An inserted
-edge (x, y) with dfn(x) >= dfn(y) never invalidates the tree and is
-absorbed in O(1).  Otherwise the edge is an anti-cross edge and the repair
-is core.restricted_dfs from y over the candidate set; the reached vertices
-are re-rooted at y, hung from (x, y), and the affected contiguous rank
-interval is renumbered.  The repair charges, in closed form, every
-out-entry of the reached vertices: sum(len(adj[v])) over the post-order.
+The tree's post-order numbering (dfn) and its inverse dfn_index are kept
+exact.  An inserted edge (x, y) with dfn(x) >= dfn(y) never invalidates
+the tree and is absorbed in O(1).  Otherwise it is an anti-cross edge,
+repaired in phases; sdfs3's directed modes share phase 1 and the splice.
 
-Candidate set: vertices with dfn in (dfn(x), U], excluding proper
-ancestors of x, where U = dfn(y) in dag mode and U = dfn(c) in directed
-mode with c the child of lca(x, y) whose subtree contains y (the whole
-subtree is eligible there, not just ranks up to y).
+Candidate set: vertices with dfn in (dfn(x), hi], excluding the proper
+ancestors of x below w = lca(x, y) (the blocked ancestors), where
+hi = dfn(y) in dag mode and hi = dfn(c) in directed mode with c the child
+of w whose subtree contains y (the whole subtree is eligible there, not
+just ranks up to y).
 
+Phase 1 is core.restricted_dfs from y over the candidates into scratch
+mappings, charging every out-entry of the reached vertices in closed form.
 In dag mode x and its blocked ancestors are fresh as well: the DFS
 entering any of them means y reaches x, so the insertion closes a cycle
-and is rejected with CycleError.  The repair writes into scratch mappings
-until it has passed that test, so a rejected insertion leaves the graph,
-the tree, dfn, dfn_index and all four counters exactly as before the call.
+and is rejected with CycleError before anything is written.  A rejected
+insertion leaves the graph, the tree, dfn, dfn_index and all four
+counters exactly as before the call.  The splice then hangs the reached
+vertices from (x, y) as the subtree of y, and fdfs renumbers the rank
+interval [dfn(x), hi] in closed form; sdfs3's module docstring shows
+why no rank outside that interval changes.
 """
 from __future__ import annotations
 
@@ -44,39 +47,41 @@ def reject(algo, x, y):
 class FdfsState(IncrementalDfs):
     name = "fdfs"
     supports_batch = False
+    modes = ("dag", "directed")
 
     def __init__(self, n: int, mode: str = "dag"):
-        if mode not in ("dag", "directed"):
-            raise GraphError(f"unknown fdfs mode {mode!r}")
+        if mode not in self.modes:
+            raise GraphError(f"unknown {self.name} mode {mode!r}")
         self.mode = mode
-        super().__init__(n, directed=True)
+        super().__init__(n, directed=(mode != "undirected"))
         self.dfn_index = [0] * (n + 2)  # rank -> vertex
         for v, r in enumerate(self.tree.dfn):
             self.dfn_index[r] = v
 
     # -- candidate machinery ----------------------------------------------
 
-    def _upper_rank(self, x, y, w):
-        if self.mode == "dag":
-            return self.tree.dfn[y]
+    def _interval(self, x, y, w):
+        """The block dfn_index[dfn(x) : hi + 1], x first, and the blocked
+        ancestors in rank order (all inside the block)."""
+        parent, dfn = self.tree.parent, self.tree.dfn
         c = y
-        while self.tree.parent[c] != w:
-            c = self.tree.parent[c]
-        return self.tree.dfn[c]
+        if self.mode == "directed":
+            while parent[c] != w:
+                c = parent[c]
+        blocked = []
+        a = parent[x]
+        while a != w:
+            blocked.append(a)
+            a = parent[a]
+        return self.dfn_index[dfn[x] : dfn[c] + 1], blocked
 
     def candidate_set(self, x, y):
         """Eligible vertices for the pending anti-cross edge (x, y)."""
         tree = self.tree
         if tree.dfn[x] >= tree.dfn[y]:
             raise GraphError("candidate set defined only for dfn(x) < dfn(y)")
-        w = lca(tree, x, y)
-        hi = self._upper_rank(x, y, w)
-        out = set(self.dfn_index[tree.dfn[x] + 1 : hi + 1])
-        a = tree.parent[x]
-        while a != w:
-            out.discard(a)
-            a = tree.parent[a]
-        return out
+        block, blocked = self._interval(x, y, lca(tree, x, y))
+        return set(block[1:]).difference(blocked)
 
     # -- rebuild ----------------------------------------------------------
 
@@ -93,58 +98,64 @@ class FdfsState(IncrementalDfs):
             return
         self._rebuild(x, y, w)
 
-    def _rebuild(self, x, y, w):
+    def _splice(self, x, y, w):
+        """Phase 1 and the splice; returns (block, blocked, fresh, post).
+        post is y's new subtree in post-order, and fresh marks exactly the
+        candidates phase 1 did not reach."""
         tree = self.tree
-        parent, children, dfn, index = tree.parent, tree.children, tree.dfn, self.dfn_index
-        lo, hi = dfn[x], self._upper_rank(x, y, w)
-        block = index[lo : hi + 1]  # x, then the rank interval (lo, hi]
+        parent, children = tree.parent, tree.children
+        block, blocked = self._interval(x, y, w)
         fresh = bytearray(len(parent))
         for v in block:
             fresh[v] = True
-        # x and its ancestors below w are no candidates; in dag mode they
+        # x and its blocked ancestors are no candidates; in dag mode they
         # stay fresh as tripwires: entering one of them closes a cycle
         dag = self.mode == "dag"
-        blocked = []
-        a = parent[x]
-        while a != w:
-            blocked.append(a)
+        for a in blocked:
             fresh[a] = dag
-            a = parent[a]
         fresh[x] = dag
 
         # phase 1: restricted DFS from y into scratch mappings, so a
         # rejection leaves the tree as it was
         adj = self.graph.out_adj
-        new_parent = {}
+        new_parent = {y: x}  # keyed by every reached vertex
         new_children = defaultdict(list)
         post = restricted_dfs(adj, (y,), fresh, new_parent, {y: 0}, new_children)
         if dag and not (fresh[x] and all(map(fresh.__getitem__, blocked))):
             reject(self, x, y)
         self.counters.edges_processed += sum(map(len, map(adj.__getitem__, post)))
+        fresh[x] = False
+        for a in blocked:
+            fresh[a] = False
 
-        # phase 2: splice the reached set in as a subtree rooted at y.  A
-        # reached vertex's children are all reached too (tree edges are
-        # graph edges and its children's ranks lie in the interval), so its
-        # new children are exactly its DFS children.
-        moved = set(post)
+        # splice the reached set in as a subtree rooted at y.  A reached
+        # vertex's children are all reached too (tree edges are graph
+        # edges and its children's ranks lie in the interval), so its new
+        # children are exactly its DFS children.
         for v in post:
             p = parent[v]
-            if p not in moved:
+            if p not in new_parent:
                 children[p].remove(v)
         for v in post:
             children[v] = new_children[v]
         for v, p in new_parent.items():
             parent[v] = p
-        parent[y] = x
         children[x].append(y)
         tree.refresh_depths(y)
+        return block, blocked, fresh, post
 
-        # phase 3: renumber the contiguous rank interval [lo, hi]: the
-        # spliced subtree of y in post-order, then x, then the untouched
-        # interval members in their old relative order
+    def _rebuild(self, x, y, w):
+        block, blocked, fresh, post = self._splice(x, y, w)
+        # renumber the contiguous rank interval [dfn(x), hi]: the spliced
+        # subtree of y in post-order, then x, then the untouched interval
+        # members (unreached candidates and blocked ancestors) in their old
+        # relative order
+        dfn, index = self.tree.dfn, self.dfn_index
+        for a in blocked:
+            fresh[a] = True
         new_block = post + [x]
-        new_block += [v for v in block if v not in moved and v != x]
-        for r, v in enumerate(new_block, lo):
+        new_block += [v for v in block if fresh[v]]
+        for r, v in enumerate(new_block, dfn[x]):
             dfn[v] = r
             index[r] = v
         self.counters.rebuilds += 1

@@ -13,44 +13,46 @@ restricted_dfs'd over its own members, started at the inserted edge's
 endpoint inside it and hung from the other endpoint.  Ties rebuild the
 subtree containing y.  The charge counts each edge once: the members'
 real adjacency entries minus the internal edges I, where 2I is the number
-of member entries that point at a member.
+of member entries that point at a member.  dfn is left stale.
 
-Directed mode: the same candidate set as the rank-interval algorithm is
-computed for an anti-cross edge, but instead of splicing only what a
-partial DFS reaches, every candidate subtree is detached: restricted_dfs
-resumes through (x, y) over the candidates, then runs once more over the
-still-unvisited detached roots in original left-to-right order, re-hanging
-each in place.  Both charge every out-entry of the vertices they visit.
-Post-order ranks are restored by a plain rescan.  The full re-traversal of
-the candidate subtrees is what costs Theta(m^2) in the worst case.  In dag
-mode a cycle is found and rejected as in fdfs, with the same guarantee:
-a rejected insertion leaves everything as before the call.
+Directed and dag modes are fdfs with a phase 2: they share its candidate
+interval, its phase 1 (the restricted DFS from y, with the dag tripwires
+and the reject test) and its splice.  Phase 2 then detaches every
+candidate subtree phase 1 did not reach and re-traverses them with one
+more restricted_dfs from their roots in old rank order, re-hanging each
+in place and charging every out-entry it visits.  This full re-traversal
+is what costs Theta(m^2) in the worst case.
+
+Only the block dfn_index[lo : hi + 1] is renumbered, lo = dfn(x):
+- A candidate's old subtree lies inside (lo, hi]: its ranks are
+  contiguous up to its own, and a descendant ranked at or below lo would
+  make it an ancestor of x, and those are blocked.
+- Every candidate the repair moves is hung from x or from a candidate;
+  an unreached root keeps its parent and its place among its siblings.
+- So the block's vertices take exactly the ranks lo..hi and no other
+  vertex's rank changes.  In order they are y's new subtree, x, then each
+  blocked ancestor after the phase 2 trees of the roots ranked below it.
 """
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import compress
+from bisect import bisect_left
 
-from .base import IncrementalDfs
-from .core import GraphError, lca, restricted_dfs
-from .fdfs import reject
+from .core import lca, restricted_dfs
+from .fdfs import FdfsState
 
 
-class Sdfs3State(IncrementalDfs):
+class Sdfs3State(FdfsState):
     name = "sdfs3"
-    supports_batch = False
+    modes = ("undirected", "directed", "dag")
 
     def __init__(self, n: int, mode: str = "undirected"):
-        if mode not in ("undirected", "directed", "dag"):
-            raise GraphError(f"unknown sdfs3 mode {mode!r}")
-        self.mode = mode
-        super().__init__(n, directed=(mode != "undirected"))
+        super().__init__(n, mode)
 
     def _apply(self, x, y):
-        self.counters.edges_processed += 1
         if self.directed:
-            self._apply_directed(x, y)
+            super()._apply(x, y)
         else:
+            self.counters.edges_processed += 1
             self._apply_undirected(x, y)
 
     # -- undirected: rebuild the smaller side ------------------------------
@@ -113,72 +115,42 @@ class Sdfs3State(IncrementalDfs):
 
     # -- directed: full candidate-set re-traversal -------------------------
 
-    def _apply_directed(self, x, y):
+    def _rebuild(self, x, y, w):
         tree = self.tree
-        if not tree.dfn_valid:
-            tree.recompute_dfn()
         parent, depth, children, dfn = tree.parent, tree.depth, tree.children, tree.dfn
-        if dfn[x] >= dfn[y]:
-            return
-        w = lca(tree, x, y)
-        dag = self.mode == "dag"
-        if w == y:
-            if dag:
-                reject(self, x, y)
-            return
-        lo = dfn[x]
-        if dag:
-            hi = dfn[y]
-        else:
-            c = y
-            while parent[c] != w:
-                c = parent[c]
-            hi = dfn[c]
-        fresh = [lo < r <= hi for r in dfn]
-        blocked = []
-        a = parent[x]
-        while a != w:
-            blocked.append(a)
-            fresh[a] = False
-            a = parent[a]
-        candidates = list(compress(range(len(fresh)), fresh))
-        roots = sorted((v for v in candidates if not fresh[parent[v]]), key=dfn.__getitem__)
-        touched_parents = {parent[r] for r in roots}
         adj = self.graph.out_adj
+        block, blocked, fresh, post = self._splice(x, y, w)
+        self.counters.vertices_remarked += len(block) - 1 - len(blocked)
+        # detach every candidate subtree phase 1 did not reach; the roots
+        # are the unreached candidates whose parent is no candidate
+        roots = []
+        charge = 0
+        for v in block:
+            if fresh[v]:
+                children[v] = []
+                charge += len(adj[v])
+                if not fresh[parent[v]]:
+                    roots.append(v)
+        self.counters.edges_processed += charge
+        touched_parents = {parent[r] for r in roots}
 
-        # phase 1: resume through (x, y) into scratch mappings, with x and
-        # its blocked ancestors as dag tripwires (see fdfs)
+        # phase 2: re-traverse the detached subtrees from the roots in old
+        # rank order, re-hung in place: the expensive part.  Each blocked
+        # ancestor finishes after the roots ranked below it.
+        order = post + [x]
+        i = 0
         for a in blocked:
-            fresh[a] = dag
-        fresh[x] = dag
-        new_parent = {}
-        new_children = defaultdict(list)
-        post = restricted_dfs(adj, (y,), fresh, new_parent, {y: 0}, new_children)
-        if dag and not (fresh[x] and all(map(fresh.__getitem__, blocked))):
-            reject(self, x, y)
-        for a in blocked:
-            fresh[a] = False
-        fresh[x] = False
-        self.counters.vertices_remarked += len(candidates)
-
-        for v in candidates:
-            children[v] = []
-        for v in post:
-            children[v] = new_children[v]
-        for v, p in new_parent.items():
-            parent[v] = p
-        parent[y] = x
-        children[x].append(y)
-        tree.refresh_depths(y)
-
-        # phase 2: re-traverse every detached subtree whose root was not
-        # absorbed, left to right, re-hung in place: the expensive part
-        post += restricted_dfs(adj, roots, fresh, parent, depth, children)
-        self.counters.edges_processed += sum(map(len, map(adj.__getitem__, post)))
-
+            j = bisect_left(roots, dfn[a], i, key=dfn.__getitem__)
+            order += restricted_dfs(adj, roots[i:j], fresh, parent, depth, children)
+            order.append(a)
+            i = j
+        order += restricted_dfs(adj, roots[i:], fresh, parent, depth, children)
         # absorbed roots leave their old parents through this filter; the
         # survivors keep their original left-to-right positions
         for p in touched_parents:
             children[p] = [ch for ch in children[p] if parent[ch] == p]
-        tree.recompute_dfn()
+        index = self.dfn_index
+        for r, v in enumerate(order, dfn[x]):
+            dfn[v] = r
+            index[r] = v
         self.counters.rebuilds += 1

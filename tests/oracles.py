@@ -342,11 +342,29 @@ def _reject_reference(algo, x, y):
     raise CycleError(f"insertion ({x},{y}) closes a cycle")
 
 
+def _taking_back_rejects(apply):
+    """A reference's _apply whose rejected insertions take back their
+    charge and their remarks, as the library's do."""
+
+    def wrapped(self, x, y):
+        c = self.counters
+        before = c.edges_processed, c.vertices_remarked
+        try:
+            apply(self, x, y)
+        except CycleError:
+            c.edges_processed, c.vertices_remarked = before
+            raise
+
+    return wrapped
+
+
 class ReferenceFdfs(FdfsState):
     """FdfsState with the rebuild that scans and charges one out-entry at a
     time over epoch-stamped scratch marks and renumbers from a post-order
     walk of the spliced subtree: the reference for FdfsState._rebuild, which
     runs core.restricted_dfs and charges in closed form."""
+
+    _apply = _taking_back_rejects(FdfsState._apply)
 
     def __init__(self, n, mode="dag"):
         super().__init__(n, mode=mode)
@@ -356,7 +374,11 @@ class ReferenceFdfs(FdfsState):
     def _rebuild(self, x, y, w):
         tree = self.tree
         dfn, index = tree.dfn, self.dfn_index
-        lo, hi = dfn[x], self._upper_rank(x, y, w)
+        c = y
+        if self.mode == "directed":
+            while tree.parent[c] != w:
+                c = tree.parent[c]
+        lo, hi = dfn[x], dfn[c]
         self._epoch += 1
         epoch, stamp = self._epoch, self._stamp
         VISITED, BLOCKED = epoch, -epoch
@@ -436,12 +458,25 @@ class ReferenceFdfs(FdfsState):
 class ReferenceSdfs3(Sdfs3State):
     """Sdfs3State with the repair loops that scan and charge one entry at a
     time: the reference for Sdfs3State's restricted_dfs repairs, which
-    charge in closed form."""
+    charge in closed form.  Its directed loop finds the candidates by a
+    scan over all ranks and renumbers the whole tree with recompute_dfn,
+    where Sdfs3State shares fdfs's phase 1 and renumbers only the candidate
+    interval.  _apply dispatches to the loops here, never to
+    FdfsState._apply, so the library's directed repair is not compared with
+    itself."""
 
     def __init__(self, n, mode="undirected"):
         super().__init__(n, mode=mode)
         self._stamp = [0] * (n + 1)
         self._epoch = 0
+
+    @_taking_back_rejects
+    def _apply(self, x, y):
+        self.counters.edges_processed += 1
+        if self.directed:
+            self._apply_directed(x, y)
+        else:
+            self._apply_undirected(x, y)
 
     def _subtree_walker(self, root):
         stack = [root]

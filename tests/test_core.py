@@ -155,6 +155,22 @@ def test_float_endpoints_rejected_before_duplicate_check(name, mode):
     assert not algo.insert(3, 3)
 
 
+@pytest.mark.parametrize("name,mode", ALGO_MODES)
+def test_out_of_range_self_loop_rejected(name, mode):
+    # the range check covers self loops too, on both insert paths
+    algo = make_algorithm(name, 5, mode)
+    algo.insert(1, 2)
+    before = (_tree_state(algo), algo.graph.real_edges())
+    for v in (0, 6, 7, -1):
+        with pytest.raises(GraphError):
+            algo.insert(v, v)
+        if algo.supports_batch:
+            with pytest.raises(GraphError):
+                algo.insert_batch([(v, v)])
+    assert (_tree_state(algo), algo.graph.real_edges()) == before
+    assert not algo.insert(5, 5)
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_stream_float_endpoints_rejected(directed):
     st = StreamState(5, directed=directed)

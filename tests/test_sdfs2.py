@@ -244,11 +244,12 @@ def test_rebuild_matches_reference(n, m, seed, mode):
 
 
 @pytest.mark.parametrize("mode", ["directed", "dag"])
-def test_directed_rebuild_never_recomputes_dfn(monkeypatch, mode):
-    # a rebuild assigns the bristles' post-order ranks itself, so anti-cross
-    # classification never has to renumber the whole tree
+@pytest.mark.parametrize("name", ["sdfs2", "sdfs3", "fdfs"])
+def test_directed_rebuild_never_recomputes_dfn(monkeypatch, name, mode):
+    # a directed rebuild assigns the moved vertices' post-order ranks
+    # itself, so anti-cross classification never renumbers the whole tree
     seq = gen_gnm(400, 10000, seed=1, mode=mode)
-    algo = Sdfs2State(seq.n, directed=True)
+    algo = make_algorithm(name, seq.n, mode)
     calls = []
     original = DfsTree.recompute_dfn
 

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incdfs.core import ROOT, GraphError, is_valid_dfs_tree
 from incdfs.fdfs import CycleError, FdfsState
 from incdfs.generators import gen_gnm, gen_worstcase_fdfs, gen_worstcase_sdfs3
 from incdfs.sdfs3 import Sdfs3State
-from oracles import DAG_CYCLE_CASES, ReferenceSdfs3, state_snapshot
+from oracles import DAG_CYCLE_CASES, ReferenceFdfs, ReferenceSdfs3, state_snapshot
 
 
 def two_subtree_fixture(left_chain, right_chain, n=8):
@@ -164,6 +166,11 @@ def _sdfs3_state(algo):
             c.edges_processed, c.rebuilds, c.insertions, c.vertices_remarked)
 
 
+def _dfn_index_inverts_dfn(algo):
+    dfn, index = algo.tree.dfn, algo.dfn_index
+    return all(index[dfn[v]] == v for v in range(len(dfn)))
+
+
 @pytest.mark.parametrize(
     "n,m,seed,mode",
     [(60, 600, s, mode) for s in range(3) for mode in ("undirected", "directed", "dag")]
@@ -185,4 +192,61 @@ def test_repairs_match_reference(n, m, seed, mode):
         algo.insert(u, v)
         ref.insert(u, v)
         assert _sdfs3_state(algo) == _sdfs3_state(ref)
+        if algo.directed:
+            assert _dfn_index_inverts_dfn(algo)
     assert algo.counters.rebuilds > 50
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sampled_from(["directed", "dag"]),
+            st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=40),
+        )
+    )
+)
+def test_directed_repairs_match_reference_on_small_graphs(case):
+    # the shared phase 1 and the interval renumbering against the references
+    # (sdfs3's renumbers with recompute_dfn), insert by insert, with
+    # cycle-closing dag insertions in the mix
+    n, mode, edges = case
+    for algo, ref in ((Sdfs3State(n, mode), ReferenceSdfs3(n, mode)),
+                      (FdfsState(n, mode), ReferenceFdfs(n, mode))):
+        for u, v in edges:
+            before = state_snapshot(algo)
+            try:
+                ref.insert(u, v)
+            except CycleError:
+                with pytest.raises(CycleError):
+                    algo.insert(u, v)
+                assert state_snapshot(algo) == before
+            else:
+                algo.insert(u, v)
+            assert _sdfs3_state(algo) == _sdfs3_state(ref)
+            assert _dfn_index_inverts_dfn(algo)
+
+
+@pytest.mark.parametrize("mode", ["directed", "dag"])
+def test_reference_replays_its_own_directed_loop(monkeypatch, mode):
+    # the reference must not reach Sdfs3State's repair, or the differential
+    # tests above would compare the library with itself
+    calls = []
+    own = ReferenceSdfs3._apply_directed
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        own(self, x, y)
+
+    def library_repair(self, x, y, w):
+        raise AssertionError("the reference ran Sdfs3State._rebuild")
+
+    monkeypatch.setattr(ReferenceSdfs3, "_apply_directed", counted)
+    monkeypatch.setattr(Sdfs3State, "_rebuild", library_repair)
+    seq = gen_gnm(60, 600, seed=0, mode=mode)
+    ref = ReferenceSdfs3(seq.n, mode=mode)
+    for u, v in seq.edges:
+        ref.insert(u, v)
+    assert calls == seq.edges
+    assert ref.counters.rebuilds > 50
