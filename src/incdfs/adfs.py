@@ -37,8 +37,6 @@ from .core import ROOT, GraphError, extend_stick, lca
 class AdfsState(IncrementalDfs):
     """Shared machinery; ADFS1/ADFS2 differ only in pool order."""
 
-    variant = "adfs"
-
     def __init__(self, n: int, directed: bool = False, adversarial_order: bool = False):
         if directed:
             raise GraphError("ADFS applies to undirected graphs only")
@@ -170,7 +168,6 @@ class ADFS1(AdfsState):
     the stage witness in the worst-case replays."""
 
     name = "adfs1"
-    variant = "adfs1"
 
     def _drain(self):
         if self.adversarial_order:
@@ -192,7 +189,6 @@ class ADFS2(AdfsState):
     """Pool in order of the shallower endpoint's depth, then its id."""
 
     name = "adfs2"
-    variant = "adfs2"
 
     _drain = AdfsState._drain_keyed
 

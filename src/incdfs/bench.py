@@ -7,6 +7,7 @@ throughout.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,6 @@ class ExperimentConfig:
     batch: bool = False
     dataset: str | None = None
     sample_every: int = 1
-    out: str | None = None
 
 
 CSV_HEADER = "m,delta,cumulative,ls,bristle,pc,rebuilds"
@@ -224,11 +224,6 @@ def run_experiment(config: ExperimentConfig):
     """Replay trials and return per-trial rows followed by mean rows."""
     if config.sample_every < 1 or config.trials < 1:
         raise GraphError("sample_every and trials must be >= 1")
-    if config.batch and config.algo in ("fdfs", "sdfs3"):
-        # these algorithms cannot exploit batches; fall back to per-edge
-        import warnings
-
-        warnings.warn(f"{config.algo} has no batch mode; using per-edge inserts")
     per_trial = []
     for trial in range(config.trials):
         if config.dataset is not None:
@@ -236,6 +231,9 @@ def run_experiment(config: ExperimentConfig):
         else:
             seq = gen_gnm(config.n, config.m, seed=config.seed + trial, mode=config.mode)
         algo = make_algorithm(config.algo, seq.n, config.mode)
+        if trial == 0 and config.batch and not algo.supports_batch:
+            # replay falls back to per-edge inserts
+            warnings.warn(f"{config.algo} has no batch mode; using per-edge inserts")
         per_trial.append(replay(algo, seq, batch=config.batch,
                                 sample_every=config.sample_every))
     rows = [r for rows in per_trial for r in rows]

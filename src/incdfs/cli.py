@@ -63,7 +63,7 @@ def cmd_bench(args):
     cfg = ExperimentConfig(
         algo=args.algo, n=args.n, m=args.m, seed=args.seed, trials=args.trials,
         mode=args.mode, batch=args.batch, dataset=args.dataset,
-        sample_every=args.sample_every, out=args.out,
+        sample_every=args.sample_every,
     )
     _emit(run_experiment(cfg), args.out)
     return 0

@@ -69,14 +69,8 @@ class Graph:
         self.directed = directed
         self.m = 0
         self.out_adj: list[list[int]] = [[] for _ in range(n + 1)]
-        self.in_adj: list[list[int]] | None = (
-            [[] for _ in range(n + 1)] if directed else None
-        )
         self.out_adj[ROOT] = list(range(1, n + 1))
-        if directed:
-            for v in range(1, n + 1):
-                self.in_adj[v].append(ROOT)
-        else:
+        if not directed:
             for v in range(1, n + 1):
                 self.out_adj[v].append(ROOT)
         self._eindex: dict[tuple[int, int], int] = {}
@@ -128,9 +122,7 @@ class Graph:
         self._ev[self.m] = v
         self.m += 1
         self.out_adj[u].append(v)
-        if self.directed:
-            self.in_adj[v].append(u)
-        else:
+        if not self.directed:
             self.out_adj[v].append(u)
         return u, v
 
@@ -161,9 +153,7 @@ class Graph:
             self._eindex[self._key(lu, lv)] = pos
         self.m = last
         self.out_adj[u].remove(v)
-        if self.directed:
-            self.in_adj[v].remove(u)
-        else:
+        if not self.directed:
             self.out_adj[v].remove(u)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:

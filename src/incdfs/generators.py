@@ -138,30 +138,6 @@ def gen_worstcase_fdfs(n: int, m: int) -> UpdateSequence:
     )
 
 
-def _euler_intervals(tree):
-    """Entry/exit times of every vertex in the given rooted tree."""
-    n = len(tree.parent) - 1
-    tin = [0] * (n + 1)
-    tout = [0] * (n + 1)
-    clock = 0
-    stack = [(0, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            tout[v] = clock
-            continue
-        tin[v] = clock
-        clock += 1
-        stack.append((v, True))
-        for c in tree.children[v]:
-            stack.append((c, False))
-    return tin, tout
-
-
-def _comparable(tin, tout, a, b):
-    return (tin[a] <= tin[b] < tout[a]) or (tin[b] <= tin[a] < tout[b])
-
-
 def _adfs1_layout(n_s: int, p: int, k: int):
     """Edge list of one spine/pool/stage construction.
 
@@ -243,16 +219,19 @@ def gen_worstcase_adfs1(n: int, m: int) -> UpdateSequence:
 
     Every stage tips the whole head chain over (the trigger), then the
     adversarial order replays the head-tail pool plus the stage witness.
-    The sequence length is Theta(m); parameters are chosen by replaying a
-    small shortlist of candidate shapes and keeping the one with the
-    largest measured cost ratio between the two drain orders.
+    The sequence length is Theta(m).  The shape (n_s, p, k) is the one
+    with the largest estimated cost ratio between the two drain orders
+    (ties go to the larger estimated adversarial cost, then to the larger
+    n_s, p and k).  The chosen layout is replayed once in each drain order:
+    those replays give meta's two costs and the two final trees the top-up
+    is checked against.
     """
     if not (1 <= n <= m <= n * (n - 1) // 2):
         raise GeneratorError(
             f"parameter combination infeasible: need n <= m <= n(n-1)/2, got n={n}, m={m}"
         )
     k0 = max(2, round((m / n) ** 0.5))
-    shapes = []
+    best = None
     for k in sorted({k0, max(2, k0 - 1), 2}, reverse=True):
         for n_s in range(1, n + 1):
             # vertex budget: n_s*(k+2) + p + 3k - 1 <= n
@@ -265,41 +244,40 @@ def gen_worstcase_adfs1(n: int, m: int) -> UpdateSequence:
             ecount = p * (k + 1) + n_s * (k + 4) + 3 * k - 3
             est_c1 = ecount + n_s * (p * k + 1)
             est_c2 = ecount + p * k + n_s + 1
-            shapes.append((est_c1 / est_c2, est_c1, n_s, p, k))
-    if not shapes:
+            shape = (est_c1 / est_c2, est_c1, n_s, p, k)
+            if best is None or shape > best:
+                best = shape
+    if best is None:
         raise GeneratorError(
             "parameter combination infeasible: need n >= 4*n_s + p + 3k - 1 "
             f"and m >= p(k+1) + n_s(k+4) + 3k - 3 with n_s >= 1, p >= 2, k >= 2 "
             f"(got n={n}, m={m})"
         )
-    shapes.sort(reverse=True)
-    best = None
-    for _, _, n_s, p, k in shapes[:8]:
-        edges, used, meta = _adfs1_layout(n_s, p, k)
-        c1 = _replay_adfs(n, edges, adversarial=True).counters.edges_processed
-        c2 = _replay_adfs(n, edges, adversarial=False).counters.edges_processed
-        key = (c1 / c2, c1, -n_s)
-        if best is None or key > best[0]:
-            best = (key, edges, used, meta, c1, c2)
-    _, edges, used, meta, c1, c2 = best
-    meta.update({"replay_cost_adversarial": c1, "replay_cost_default": c2})
+    edges, used, meta = _adfs1_layout(*best[2:])
+    t1 = _replay_adfs(n, edges, adversarial=True)
+    t2 = _replay_adfs(n, edges, adversarial=False)
+    meta.update({
+        "replay_cost_adversarial": t1.counters.edges_processed,
+        "replay_cost_default": t2.counters.edges_processed,
+    })
     # the construction needs only Theta(m) insertions; pad toward m/3 with
     # edges that are back edges in both final trees, so neither drain
     # order's behaviour changes
     target = max(len(edges), -(-m // 3))
     if target > len(edges):
         meta["topup_start"] = len(edges)
-        t1 = _replay_adfs(n, edges, adversarial=True)
-        t2 = _replay_adfs(n, edges, adversarial=False)
-        tin1, tout1 = _euler_intervals(t1.tree)
-        tin2, tout2 = _euler_intervals(t2.tree)
+        pre1, post1 = (t.tolist() for t in t1.tree.order_times())
+        pre2, post2 = (t.tolist() for t in t2.tree.order_times())
+        has_edge = t1.graph.has_edge
         for a in range(1, used + 1):
             if len(edges) >= target:
                 break
             for b in range(a + 1, used + 1):
-                if t1.graph.has_edge(a, b):
-                    continue
-                if _comparable(tin1, tout1, a, b) and _comparable(tin2, tout2, a, b):
+                # a and b are ancestor-related in a tree iff their
+                # pre-order and post-order times compare differently
+                if ((pre1[a] < pre1[b]) != (post1[a] < post1[b])
+                        and (pre2[a] < pre2[b]) != (post2[a] < post2[b])
+                        and not has_edge(a, b)):
                     edges.append((a, b))
                     if len(edges) >= target:
                         break

@@ -11,6 +11,7 @@ import random
 from incdfs.adfs import ADFS1, ADFS2
 from incdfs.core import ROOT, DfsTree, EdgeClass, Graph, lca
 from incdfs.fdfs import CycleError, FdfsState
+from incdfs.generators import GeneratorError, UpdateSequence, _adfs1_layout
 from incdfs.sdfs2 import Sdfs2State
 from incdfs.sdfs3 import Sdfs3State
 
@@ -132,7 +133,7 @@ def state_snapshot(algo):
     tree with dfn (and fdfs's dfn_index) and the four counters."""
     g, t, c = algo.graph, algo.tree, algo.counters
     return copy.deepcopy((
-        g.m, g.real_edges(), g.out_adj, g.in_adj, g._eindex,
+        g.m, g.real_edges(), g.out_adj, g._eindex,
         t.parent, t.children, t.depth, t.dfn, t.dfn_valid,
         getattr(algo, "dfn_index", None),
         c.edges_processed, c.rebuilds, c.insertions, c.vertices_remarked,
@@ -650,3 +651,122 @@ class ReferenceSdfs3(Sdfs3State):
             children[p] = [ch for ch in children[p] if parent[ch] == p]
         tree.recompute_dfn()
         self.counters.rebuilds += 1
+
+
+# -- reference adversarial ADFS1 generator ----------------------------------
+#
+# gen_worstcase_adfs1 as it was when it replayed a shortlist of 8 shapes in
+# both drain orders (18 replays per call) and walked the final trees with
+# its own Euler tour.  The library now picks the estimate's top shape and
+# replays it twice; its edges and meta must equal these.  The layout itself
+# (_adfs1_layout) is unchanged and shared.
+
+
+def _euler_intervals(tree):
+    """Entry/exit times of every vertex in the given rooted tree."""
+    n = len(tree.parent) - 1
+    tin = [0] * (n + 1)
+    tout = [0] * (n + 1)
+    clock = 0
+    stack = [(0, False)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            tout[v] = clock
+            continue
+        tin[v] = clock
+        clock += 1
+        stack.append((v, True))
+        for c in tree.children[v]:
+            stack.append((c, False))
+    return tin, tout
+
+
+def _comparable(tin, tout, a, b):
+    return (tin[a] <= tin[b] < tout[a]) or (tin[b] <= tin[a] < tout[b])
+
+
+def _reference_replay_adfs(n: int, edges, adversarial: bool):
+    algo = ADFS1(n, adversarial_order=True) if adversarial else ADFS2(n)
+    for u, v in edges:
+        algo.insert(u, v)
+    return algo
+
+
+def reference_gen_worstcase_adfs1(n: int, m: int) -> UpdateSequence:
+    """Adversarial undirected family: drained in the worst pool order the
+    re-hanging maintainer pays Theta(sqrt(m) * n^1.5) in total, while the
+    shallowest-first drain order pays only a constant per stage after the
+    one-off pool collection.
+
+    Every stage tips the whole head chain over (the trigger), then the
+    adversarial order replays the head-tail pool plus the stage witness.
+    The sequence length is Theta(m); parameters are chosen by replaying a
+    small shortlist of candidate shapes and keeping the one with the
+    largest measured cost ratio between the two drain orders.
+    """
+    if not (1 <= n <= m <= n * (n - 1) // 2):
+        raise GeneratorError(
+            f"parameter combination infeasible: need n <= m <= n(n-1)/2, got n={n}, m={m}"
+        )
+    k0 = max(2, round((m / n) ** 0.5))
+    shapes = []
+    for k in sorted({k0, max(2, k0 - 1), 2}, reverse=True):
+        for n_s in range(1, n + 1):
+            # vertex budget: n_s*(k+2) + p + 3k - 1 <= n
+            p_v = n - (n_s * (k + 2) + 3 * k - 1)
+            # edge budget: p*(k+1) + n_s*(k+4) + 3k - 3 <= m
+            p_e = (m - (n_s * (k + 4) + 3 * k - 3)) // (k + 1)
+            p = min(p_v, p_e)
+            if p < 2:
+                break
+            ecount = p * (k + 1) + n_s * (k + 4) + 3 * k - 3
+            est_c1 = ecount + n_s * (p * k + 1)
+            est_c2 = ecount + p * k + n_s + 1
+            shapes.append((est_c1 / est_c2, est_c1, n_s, p, k))
+    if not shapes:
+        raise GeneratorError(
+            "parameter combination infeasible: need n >= 4*n_s + p + 3k - 1 "
+            f"and m >= p(k+1) + n_s(k+4) + 3k - 3 with n_s >= 1, p >= 2, k >= 2 "
+            f"(got n={n}, m={m})"
+        )
+    shapes.sort(reverse=True)
+    best = None
+    for _, _, n_s, p, k in shapes[:8]:
+        edges, used, meta = _adfs1_layout(n_s, p, k)
+        c1 = _reference_replay_adfs(n, edges, adversarial=True).counters.edges_processed
+        c2 = _reference_replay_adfs(n, edges, adversarial=False).counters.edges_processed
+        key = (c1 / c2, c1, -n_s)
+        if best is None or key > best[0]:
+            best = (key, edges, used, meta, c1, c2)
+    _, edges, used, meta, c1, c2 = best
+    meta.update({"replay_cost_adversarial": c1, "replay_cost_default": c2})
+    # the construction needs only Theta(m) insertions; pad toward m/3 with
+    # edges that are back edges in both final trees, so neither drain
+    # order's behaviour changes
+    target = max(len(edges), -(-m // 3))
+    if target > len(edges):
+        meta["topup_start"] = len(edges)
+        t1 = _reference_replay_adfs(n, edges, adversarial=True)
+        t2 = _reference_replay_adfs(n, edges, adversarial=False)
+        tin1, tout1 = _euler_intervals(t1.tree)
+        tin2, tout2 = _euler_intervals(t2.tree)
+        for a in range(1, used + 1):
+            if len(edges) >= target:
+                break
+            for b in range(a + 1, used + 1):
+                if t1.graph.has_edge(a, b):
+                    continue
+                if _comparable(tin1, tout1, a, b) and _comparable(tin2, tout2, a, b):
+                    edges.append((a, b))
+                    if len(edges) >= target:
+                        break
+    edges = edges[:m]
+    return UpdateSequence(
+        n=n,
+        directed=False,
+        dag=False,
+        edges=edges,
+        provenance="worstcase-adfs1",
+        meta=meta,
+    )

@@ -393,7 +393,6 @@ def _fork_graph(g):
     h.directed = g.directed
     h.m = g.m
     h.out_adj = [list(a) for a in g.out_adj]
-    h.in_adj = None if g.in_adj is None else [list(a) for a in g.in_adj]
     h._eindex = dict(g._eindex)
     h._eu = g._eu.copy()
     h._ev = g._ev.copy()

@@ -157,11 +157,13 @@ class TestReplayAndCsv:
         # two batches -> two sampled rows, one rebuild per batch
         assert [r.rebuilds for r in rows] == [1, 2]
 
-    def test_batch_with_fdfs_warns_and_falls_back(self):
-        cfg = ExperimentConfig(algo="fdfs", n=15, m=40, seed=0, mode="dag",
-                               batch=True)
-        with pytest.warns(UserWarning):
+    @pytest.mark.parametrize("algo", ["fdfs", "sdfs2", "sdfs3"])
+    def test_batch_with_fdfs_warns_and_falls_back(self, algo):
+        cfg = ExperimentConfig(algo=algo, n=15, m=40, seed=0, mode="dag",
+                               batch=True, trials=2)
+        with pytest.warns(UserWarning) as record:
             rows = run_experiment(cfg)
+        assert len(record) == 1
         assert rows[-1].m == 40
 
     def test_invalid_algorithm_mode_combinations(self):

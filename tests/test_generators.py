@@ -1,7 +1,9 @@
 import math
 
 import pytest
+from oracles import reference_gen_worstcase_adfs1
 
+import incdfs.generators as generators
 from incdfs.generators import (
     GeneratorError,
     UpdateSequence,
@@ -202,6 +204,42 @@ class TestWorstcaseAdfs1:
     def test_length_theta_of_m(self):
         seq = gen_worstcase_adfs1(100, 400)
         assert 400 // 3 <= len(seq) <= 400
+
+    # every size the repo builds, the infeasible ones, and a sparse/dense
+    # spread of small sizes
+    REFERENCE_GRID = [
+        (64, 256), (128, 1024), (100, 400), (128, 512), (256, 1024),
+        (4, 6), (100, 50), (16, 40), (30, 60),
+        (12, 12), (12, 48), (29, 58), (29, 232), (46, 46), (46, 736),
+        (80, 160), (97, 1552), (148, 592), (199, 398), (256, 2048), (256, 4096),
+    ]
+
+    @pytest.mark.parametrize("n,m", REFERENCE_GRID)
+    def test_matches_reference_shortlist_replay(self, n, m):
+        try:
+            expected = reference_gen_worstcase_adfs1(n, m)
+        except GeneratorError as err:
+            with pytest.raises(GeneratorError, match="infeasible") as got:
+                gen_worstcase_adfs1(n, m)
+            assert str(got.value) == str(err)
+            return
+        seq = gen_worstcase_adfs1(n, m)
+        assert seq.edges == expected.edges
+        assert seq.meta == expected.meta
+
+    @pytest.mark.parametrize("n,m", [(64, 256), (128, 1024)])
+    def test_replays_once_per_drain_order(self, n, m, monkeypatch):
+        orders = []
+        replay = generators._replay_adfs
+
+        def counting(n, edges, adversarial):
+            orders.append(adversarial)
+            return replay(n, edges, adversarial)
+
+        monkeypatch.setattr(generators, "_replay_adfs", counting)
+        seq = gen_worstcase_adfs1(n, m)
+        assert sorted(orders) == [False, True]
+        assert seq.meta["replay_cost_adversarial"] > seq.meta["replay_cost_default"]
 
 
 class TestWorstcaseSdfs3:
