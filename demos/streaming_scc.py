@@ -9,8 +9,7 @@ Run:  python3 demos/streaming_scc.py
 """
 import math
 
-from incdfs import StreamState, gen_gnm
-from incdfs.streaming import _tarjan_scc
+from incdfs import StreamState, gen_gnm, strong_components
 
 n = 400
 m = n * n // 6
@@ -28,7 +27,7 @@ comps = st.scc_query()
 adj = [[] for _ in range(n + 1)]
 for u, v in seq.edges:
     adj[u].append(v)
-offline = sorted((sorted(c) for c in _tarjan_scc(n, adj)), key=lambda c: c[0])
+offline = strong_components(n, adj)
 sizes = sorted((len(c) for c in comps), reverse=True)[:5]
 print(f"{len(comps)} strongly connected components; largest: {sizes}")
 print(f"matches the offline oracle on the full edge list: {comps == offline}")

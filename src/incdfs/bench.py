@@ -170,6 +170,8 @@ def read_csv(fh):
 def replay(algo, seq: UpdateSequence, batch: bool = False, sample_every: int = 1):
     """Run one sequence through one maintainer, sampling metric rows every
     sample_every insertions (plus a final row)."""
+    if sample_every < 1:
+        raise GraphError(f"sample_every must be >= 1, got {sample_every}")
     rows = []
     prev_cum = 0
     inserted = 0
@@ -222,8 +224,8 @@ def _mean_rows(per_trial):
 
 def run_experiment(config: ExperimentConfig):
     """Replay trials and return per-trial rows followed by mean rows."""
-    if config.sample_every < 1 or config.trials < 1:
-        raise GraphError("sample_every and trials must be >= 1")
+    if config.trials < 1:
+        raise GraphError("trials must be >= 1")
     per_trial = []
     for trial in range(config.trials):
         if config.dataset is not None:

@@ -21,14 +21,20 @@ from .bench import (
 )
 from .core import is_valid_dfs_tree, stick_profile
 from .generators import (
-    batches,
     gen_gnm,
     gen_worstcase_adfs1,
     gen_worstcase_fdfs,
     gen_worstcase_sdfs3,
     load_dataset,
 )
-from .streaming import StreamState, _tarjan_scc
+from .streaming import StreamState, strong_components
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(p):
@@ -36,12 +42,12 @@ def _add_common(p):
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--m", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--mode", choices=["undirected", "directed", "dag"],
                    default="undirected")
     p.add_argument("--batch", action="store_true")
     p.add_argument("--dataset", metavar="PATH", default=None)
-    p.add_argument("--sample-every", type=int, default=1, metavar="K")
+    p.add_argument("--sample-every", type=_positive_int, default=1, metavar="K")
     p.add_argument("--out", metavar="PATH.csv", default=None)
 
 
@@ -130,9 +136,7 @@ def cmd_stream(args):
         adj = [[] for _ in range(st.n + 1)]
         for u, v in edges:
             adj[u].append(v)
-        offline = [sorted(c) for c in _tarjan_scc(st.n, adj)]
-        offline.sort(key=lambda c: c[0])
-        ok = comps == offline
+        ok = comps == strong_components(st.n, adj)
         print(f"scc components={len(comps)} oracle_match={ok}")
         if not ok:
             return 1
@@ -142,20 +146,13 @@ def cmd_stream(args):
 def cmd_validate(args):
     seq = _get_sequence(args)
     algo = make_algorithm(args.algo, seq.n, args.mode)
-    inserted = 0
-    for group in batches(seq):
-        for u, v in group:
-            algo.insert(u, v)
-            inserted += 1
-            if inserted % args.sample_every == 0:
-                rep = is_valid_dfs_tree(algo.graph, algo.tree)
-                if not rep.ok:
-                    print(f"INVALID at m={algo.graph.m}: {rep.reason}", file=sys.stderr)
-                    return 1
-    rep = is_valid_dfs_tree(algo.graph, algo.tree)
-    if not rep.ok:
-        print(f"INVALID at m={algo.graph.m}: {rep.reason}", file=sys.stderr)
-        return 1
+    for inserted, (u, v) in enumerate(seq.edges, start=1):
+        algo.insert(u, v)
+        if inserted % args.sample_every == 0 or inserted == len(seq.edges):
+            rep = is_valid_dfs_tree(algo.graph, algo.tree)
+            if not rep.ok:
+                print(f"INVALID at m={algo.graph.m}: {rep.reason}", file=sys.stderr)
+                return 1
     print(f"valid: algo={args.algo} n={seq.n} m={algo.graph.m}")
     return 0
 

@@ -13,21 +13,16 @@ from .core import static_dfs
 
 class SDFS(IncrementalDfs):
     name = "sdfs"
+    interrupt = False
 
     def _apply(self, u, v):
-        self.tree = static_dfs(self.graph, counters=self.counters)
+        self.tree = static_dfs(self.graph, counters=self.counters, interrupt=self.interrupt)
         self.counters.rebuilds += 1
 
     def _apply_batch(self, edges):
         self._apply(None, None)
 
 
-class SDFSInt(IncrementalDfs):
+class SDFSInt(SDFS):
     name = "sdfs-int"
-
-    def _apply(self, u, v):
-        self.tree = static_dfs(self.graph, counters=self.counters, interrupt=True)
-        self.counters.rebuilds += 1
-
-    def _apply_batch(self, edges):
-        self._apply(None, None)
+    interrupt = True

@@ -46,6 +46,7 @@ class Sdfs3State(FdfsState):
     modes = ("undirected", "directed", "dag")
 
     def __init__(self, n: int, mode: str = "undirected"):
+        # only the default differs: FdfsState defaults to "dag"
         super().__init__(n, mode)
 
     def _apply(self, x, y):

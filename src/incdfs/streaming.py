@@ -6,7 +6,9 @@ again.  In directed mode, before a dropped edge u -> v with v on the
 stick is forgotten, v is remembered as u's highest discarded target when
 it beats the current one; since every stick vertex is an ancestor of the
 whole tree, one such witness per source is enough to recover every
-strongly connected component exactly from the retained subgraph.
+strongly connected component exactly from the retained subgraph.  A
+query hands that subgraph (tree edges, stored edges and witnesses) to
+scipy's strong components; see strong_components.
 
 Bristle-internal edges are delegated to a wrapped incremental maintainer
 (re-hanging for undirected streams, bristle rebuilds for directed ones).
@@ -16,6 +18,10 @@ wrapper reads only the maintainer's public stick view: on_stick,
 discarded_edges, stored (directed) and prune_hook.
 """
 from __future__ import annotations
+
+from itertools import chain
+
+import numpy as np
 
 from .adfs import ADFS2
 from .core import ROOT, GraphError
@@ -36,7 +42,7 @@ class StreamState:
         self.highest_back: list[int | None] = [None] * (n + 1)
         if directed:
             self.core = Sdfs2State(n, directed=True)
-            self.core.prune_hook = self._on_core_discard
+            self.core.prune_hook = self._witness
         else:
             self.core = ADFS2(n)
 
@@ -49,20 +55,18 @@ class StreamState:
 
     # -- directed bookkeeping ----------------------------------------------
 
-    def _record_highest(self, u, v):
-        # v sits on the stick, hence is an ancestor of every vertex; its
-        # depth is frozen for the rest of the stream.  A source already on
-        # the stick needs no witness: it reaches the whole tree anyway.
-        if self.core.on_stick[u]:
+    def _witness(self, u, v):
+        """Keep v as u's witness when v is on the stick, u is not, and v
+        is shallower than the current one.  A stick vertex is an ancestor
+        of every vertex and its depth is frozen for the rest of the
+        stream; a source already on the stick reaches the whole tree."""
+        on_stick = self.core.on_stick
+        if not on_stick[v] or on_stick[u]:
             return
         cur = self.highest_back[u]
         depth = self.core.tree.depth
         if cur is None or depth[v] < depth[cur]:
             self.highest_back[u] = v
-
-    def _on_core_discard(self, u, v):
-        if self.core.on_stick[v]:
-            self._record_highest(u, v)
 
     # -- streaming ---------------------------------------------------------
 
@@ -83,8 +87,8 @@ class StreamState:
         on_stick = core.on_stick
         if on_stick[u] or on_stick[v]:
             self.dropped += 1
-            if self.directed and on_stick[v]:
-                self._record_highest(u, v)
+            if self.directed:
+                self._witness(u, v)
             return False
         core.insert(u, v)
         self.peak_retained = max(self.peak_retained, self.retained_edges)
@@ -95,16 +99,31 @@ class StreamState:
             self.stream_edge(u, v)
 
     def stream_file(self, path):
-        """Consume a dumped edge list line by line (no buffering)."""
+        """Consume a dumped edge list line by line (no buffering).
+
+        The header "n m directed dag" must match this stream's n and
+        direction; it is checked before any edge is streamed.  A malformed
+        line raises GraphError naming the path and the line number."""
         with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline()
+            header = fh.readline().split()
             if not header:
                 raise GraphError(f"{path}: empty stream file")
-            for line in fh:
+            try:
+                n, _, directed, _ = map(int, header)
+            except ValueError:
+                raise GraphError(f"{path}:1: malformed header {' '.join(header)!r}") from None
+            if n != self.n or bool(directed) != self.directed:
+                raise GraphError(
+                    f"{path}:1: header n={n} directed={directed} does not match "
+                    f"the stream's n={self.n} directed={int(self.directed)}"
+                )
+            for lineno, line in enumerate(fh, start=2):
                 parts = line.split()
-                if len(parts) < 2:
-                    raise GraphError(f"{path}: malformed stream line {line!r}")
-                self.stream_edge(int(parts[0]), int(parts[1]))
+                try:
+                    u, v = int(parts[0]), int(parts[1])
+                except (IndexError, ValueError):
+                    raise GraphError(f"{path}:{lineno}: malformed stream line {line!r}") from None
+                self.stream_edge(u, v)
 
     # -- queries -----------------------------------------------------------
 
@@ -116,68 +135,35 @@ class StreamState:
         minimum member."""
         if not self.directed:
             raise GraphError("scc_query requires a directed stream")
-        n = self.n
-        adj = [[] for _ in range(n + 1)]
-        tree = self.core.tree
-        for v in range(1, n + 1):
-            p = tree.parent[v]
-            if p != ROOT:
-                adj[p].append(v)
-        for u in range(1, n + 1):
-            adj[u].extend(self.core.stored[u])
-            hb = self.highest_back[u]
+        # adj[0] holds the pseudo root's children, which strong_components ignores
+        children, stored = self.core.tree.children, self.core.stored
+        adj = [children[u] + stored[u] for u in range(self.n + 1)]
+        for u, hb in enumerate(self.highest_back):
             if hb is not None:
                 adj[u].append(hb)
-        comps = _tarjan_scc(n, adj)
-        comps = [sorted(c) for c in comps]
-        comps.sort(key=lambda c: c[0])
-        return comps
+        return strong_components(self.n, adj)
 
 
-def _tarjan_scc(n, adj):
-    """Iterative Tarjan over vertices 1..n."""
-    index = [0] * (n + 1)  # 0 = unvisited; otherwise 1-based discovery index
-    low = [0] * (n + 1)
-    on_stack = bytearray(n + 1)
-    stack = []
-    comps = []
-    counter = 1
-    for start in range(1, n + 1):
-        if index[start]:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            while ei < len(adj[v]):
-                w = adj[v][ei]
-                ei += 1
-                if not index[w]:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                pv, pei = work[-1]
-                low[pv] = min(low[pv], low[v])
-                work[-1] = (pv, pei)
-    return comps
+def strong_components(n, adj):
+    """Strongly connected components of the digraph on 1..n whose out-list
+    of v is adj[v]; adj[0] is ignored and repeated entries are allowed.
+
+    The CSR arrays are built straight from the lists, and scipy is imported
+    here so that importing the package does not load it.  Returns each
+    component sorted, the components ordered by their smallest member."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    indptr = np.zeros(n + 2, dtype=np.int32)
+    np.cumsum([len(a) for a in adj[1:n + 1]], out=indptr[2:])
+    indices = np.fromiter(chain.from_iterable(adj[1:n + 1]), dtype=np.int32,
+                          count=int(indptr[-1]))
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+    # scipy 1.17's strong components did not return within 10 s on a row
+    # with a repeated column (n = 2, adj = [[], [2, 2], []]), so merge repeats
+    graph.sum_duplicates()
+    _, labels = connected_components(graph, directed=True, connection="strong")
+    comps = {}
+    for v, label in enumerate(labels.tolist()[1:], start=1):
+        comps.setdefault(label, []).append(v)
+    return list(comps.values())

@@ -2,11 +2,17 @@
 
 These deliberately avoid the library's own helpers wherever a result is
 being checked: ancestor sets are materialized explicitly, classification
-is done from first principles, and SCC uses scipy's csgraph rather than
-the package's Tarjan pass.
+is done from first principles, and SCCs come either from scipy's csgraph
+on the full edge list (offline_scc) or from mutual reachability by BFS
+from every vertex (brute_scc), never from the package's strong_components.
 """
 import copy
 import random
+from collections import deque
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from incdfs.adfs import ADFS1, ADFS2
 from incdfs.core import ROOT, DfsTree, EdgeClass, Graph, lca
@@ -14,6 +20,49 @@ from incdfs.fdfs import CycleError, FdfsState
 from incdfs.generators import GeneratorError, UpdateSequence, _adfs1_layout
 from incdfs.sdfs2 import Sdfs2State
 from incdfs.sdfs3 import Sdfs3State
+
+
+def offline_scc(n, edges):
+    """Reference partition via scipy's strong connectivity."""
+    if edges:
+        u, v = zip(*edges)
+    else:
+        u, v = (), ()
+    mat = csr_matrix(
+        (np.ones(len(edges)), (np.array(u, dtype=int) - 1, np.array(v, dtype=int) - 1)),
+        shape=(n, n),
+    )
+    _, labels = connected_components(mat, directed=True, connection="strong")
+    comps = {}
+    for vertex, lab in enumerate(labels, start=1):
+        comps.setdefault(lab, []).append(vertex)
+    out = [sorted(c) for c in comps.values()]
+    out.sort(key=lambda c: c[0])
+    return out
+
+
+def brute_scc(n, adj):
+    """Partition of 1..n into mutually reachable classes, by BFS from every
+    vertex over the out-lists adj[1..n] (adj[0] is not read)."""
+    reach = []
+    for s in range(1, n + 1):
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        reach.append(seen)
+    comps = []
+    placed = set()
+    for s in range(1, n + 1):
+        if s not in placed:
+            comp = [t for t in range(1, n + 1) if t in reach[s - 1] and s in reach[t - 1]]
+            placed.update(comp)
+            comps.append(comp)
+    return comps
 
 
 def ancestor_set(tree, v):

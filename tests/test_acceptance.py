@@ -31,7 +31,8 @@ from incdfs.generators import (
 )
 from incdfs.sdfs import SDFS, SDFSInt
 from incdfs.sdfs2 import Sdfs2State
-from incdfs.streaming import StreamState, _tarjan_scc
+from incdfs.streaming import StreamState
+from oracles import offline_scc
 
 
 def _full_m(n: int, mode: str) -> int:
@@ -372,12 +373,7 @@ def test_criterion_12_streaming_scc_matches_offline():
                 seq = gen_gnm(n, m, seed=seed, mode="directed")
                 st = StreamState(n, directed=True)
                 st.stream_sequence(seq.edges)
-                adj = [[] for _ in range(n + 1)]
-                for u, v in seq.edges:
-                    adj[u].append(v)
-                offline = sorted(
-                    (sorted(c) for c in _tarjan_scc(n, adj)), key=lambda c: c[0]
-                )
+                offline = offline_scc(n, seq.edges)
                 assert st.scc_query() == offline, f"SCC mismatch n={n} m={m} seed={seed}"
                 runs += 1
     assert runs == 50

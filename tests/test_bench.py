@@ -166,6 +166,17 @@ class TestReplayAndCsv:
         assert len(record) == 1
         assert rows[-1].m == 40
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_sample_every_below_one_rejected(self, k):
+        algo = make_algorithm("sdfs2", 10, "undirected")
+        with pytest.raises(GraphError, match="sample_every"):
+            replay(algo, gen_gnm(10, 20, seed=0), sample_every=k)
+        assert algo.graph.m == 0
+        with pytest.raises(GraphError, match="sample_every"):
+            run_experiment(ExperimentConfig(algo="sdfs2", n=10, m=20, sample_every=k))
+        with pytest.raises(GraphError, match="trials"):
+            run_experiment(ExperimentConfig(algo="sdfs2", n=10, m=20, trials=k))
+
     def test_invalid_algorithm_mode_combinations(self):
         with pytest.raises(GraphError):
             make_algorithm("adfs1", 10, "directed")

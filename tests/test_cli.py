@@ -138,3 +138,17 @@ class TestValidateCommand:
             capsys, "validate", "--algo", "sdfs", "--dataset", str(path),
         )
         assert code == 0
+
+
+class TestCountOptions:
+    @pytest.mark.parametrize("command,algo", [
+        ("bench", "sdfs"), ("broomstick", "sdfs2"), ("worstcase", "adfs1"),
+        ("validate", "sdfs"), ("stream", "sdfs"),
+    ])
+    @pytest.mark.parametrize("option", ["--sample-every", "--trials"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_below_one_rejected_at_parse_time(self, capsys, command, algo, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--algo", algo, "--n", "12", "--m", "30", option, value])
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err

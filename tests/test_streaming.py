@@ -1,34 +1,19 @@
 import ast
 import math
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from incdfs.core import GraphError, is_valid_dfs_tree
 from incdfs.generators import gen_gnm
-from incdfs.streaming import StreamState
-
-
-def offline_scc(n, edges):
-    """Reference partition via scipy's strong connectivity."""
-    if edges:
-        u, v = zip(*edges)
-    else:
-        u, v = (), ()
-    mat = csr_matrix(
-        (np.ones(len(edges)), (np.array(u, dtype=int) - 1, np.array(v, dtype=int) - 1)),
-        shape=(n, n),
-    )
-    _, labels = connected_components(mat, directed=True, connection="strong")
-    comps = {}
-    for vertex, lab in enumerate(labels, start=1):
-        comps.setdefault(lab, []).append(vertex)
-    out = [sorted(c) for c in comps.values()]
-    out.sort(key=lambda c: c[0])
-    return out
+from incdfs.streaming import StreamState, strong_components
+from oracles import brute_scc, offline_scc
 
 
 class TestBasics:
@@ -161,6 +146,66 @@ class TestSpaceBound:
         st = StreamState(30, directed=True)
         st.stream_file(path)
         assert st.scc_query() == offline_scc(30, seq.edges)
+
+
+class TestStreamFile:
+    def _dump(self, tmp_path, text):
+        path = tmp_path / "stream.txt"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("bad", ["2 x 1", "2 1.5 1", "3"])
+    def test_malformed_line_names_path_and_line(self, tmp_path, bad):
+        path = self._dump(tmp_path, f"4 3 1 0\n1 2 0\n{bad}\n3 4 2\n")
+        st = StreamState(4, directed=True)
+        with pytest.raises(GraphError, match=re.escape(f"{path}:3: malformed stream line")):
+            st.stream_file(path)
+
+    @pytest.mark.parametrize("header,n,directed", [
+        ("5 2 1 0", 4, True),   # wrong n
+        ("4 2 0 0", 4, True),   # undirected file into a directed stream
+        ("4 2 1 1", 4, False),  # dag file into an undirected stream
+        ("4 2 1", 4, True),     # short header
+        ("4 2 x 0", 4, True),   # non-integer header field
+    ])
+    def test_header_checked_before_streaming(self, tmp_path, header, n, directed):
+        path = self._dump(tmp_path, f"{header}\n1 2 0\n2 3 1\n")
+        st = StreamState(n, directed=directed)
+        with pytest.raises(GraphError, match=re.escape(f"{path}:1: ")):
+            st.stream_file(path)
+        assert st.streamed == 0 and st.core.graph.m == 0
+
+    def test_empty_file_rejected(self, tmp_path):
+        with pytest.raises(GraphError, match="empty stream file"):
+            StreamState(3).stream_file(self._dump(tmp_path, ""))
+
+
+@hst.composite
+def _out_lists(draw):
+    n = draw(hst.integers(1, 14))
+    targets = hst.lists(hst.integers(1, n), max_size=2 * n)
+    return n, [draw(targets) for _ in range(n + 1)]
+
+
+class TestStrongComponents:
+    @given(_out_lists())
+    @example((1, [[], []]))
+    @example((6, [[] for _ in range(7)]))  # no edges
+    @example((4, [[], [2, 2, 2], [1, 1, 3], [3, 3], []]))  # repeated entries
+    @example((3, [[1, 2, 3, 1], [], [], []]))  # adj[0] must be ignored
+    @example((3, [[1], [2], [3], [1]]))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_mutual_reachability(self, case):
+        n, adj = case
+        assert strong_components(n, adj) == brute_scc(n, adj)
+
+    def test_import_loads_no_scipy_sparse(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, incdfs; print('scipy.sparse' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 def test_streaming_reads_no_private_core_attribute():
