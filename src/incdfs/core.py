@@ -33,10 +33,14 @@ class Counters:
 
     edges_processed is the platform-independent cost metric: adjacency
     entries examined during rebuilds plus, in the incremental maintainers,
-    one per inserted edge (sdfs and sdfs-int charge only their DFS).  In
-    undirected traversals each edge is charged once even though it sits in
-    two adjacency lists.  Tree bookkeeping (depth fixups, LCA walks) is
+    one per inserted edge.  sdfs and sdfs-int are charged the DFS a naive
+    rebuild would run, whether or not they rerun it.  In undirected
+    traversals each edge is charged once even though it sits in two
+    adjacency lists.  Tree bookkeeping (depth fixups, LCA walks) is
     deliberately not metered.
+
+    rebuilds counts repairs; for sdfs and sdfs-int it counts the
+    insertions (one per batch) answered with a full-DFS tree.
     """
 
     __slots__ = ("edges_processed", "rebuilds", "insertions", "vertices_remarked")

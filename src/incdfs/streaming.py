@@ -103,7 +103,8 @@ class StreamState:
 
         The header "n m directed dag" must match this stream's n and
         direction; it is checked before any edge is streamed.  A malformed
-        line raises GraphError naming the path and the line number."""
+        line or an endpoint outside 1..n raises GraphError naming the path
+        and the line number."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().split()
             if not header:
@@ -123,7 +124,10 @@ class StreamState:
                     u, v = int(parts[0]), int(parts[1])
                 except (IndexError, ValueError):
                     raise GraphError(f"{path}:{lineno}: malformed stream line {line!r}") from None
-                self.stream_edge(u, v)
+                try:
+                    self.stream_edge(u, v)
+                except GraphError as exc:
+                    raise GraphError(f"{path}:{lineno}: {exc}") from None
 
     # -- queries -----------------------------------------------------------
 

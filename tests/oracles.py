@@ -15,7 +15,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from incdfs.adfs import ADFS1, ADFS2
-from incdfs.core import ROOT, DfsTree, EdgeClass, Graph, lca
+from incdfs.base import IncrementalDfs
+from incdfs.core import ROOT, DfsTree, EdgeClass, Graph, lca, static_dfs
 from incdfs.fdfs import CycleError, FdfsState
 from incdfs.generators import GeneratorError, UpdateSequence, _adfs1_layout
 from incdfs.sdfs2 import Sdfs2State
@@ -255,6 +256,27 @@ def reference_static_dfs(graph, interrupt=False):
                 rank += 1
     tree.dfn_valid = True
     return tree, scanned
+
+
+class ReferenceSdfs(IncrementalDfs):
+    """SDFS that reruns static_dfs on every insertion: the reference for
+    SDFS, which reruns it only for a cross or anti-cross edge and charges
+    a kept tree in closed form."""
+
+    name = "sdfs"
+    interrupt = False
+
+    def _apply(self, u, v):
+        self.tree = static_dfs(self.graph, counters=self.counters, interrupt=self.interrupt)
+        self.counters.rebuilds += 1
+
+    def _apply_batch(self, edges):
+        self._apply(None, None)
+
+
+class ReferenceSdfsInt(ReferenceSdfs):
+    name = "sdfs-int"
+    interrupt = True
 
 
 class _ScanningPool:

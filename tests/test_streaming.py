@@ -175,6 +175,13 @@ class TestStreamFile:
             st.stream_file(path)
         assert st.streamed == 0 and st.core.graph.m == 0
 
+    def test_out_of_range_endpoint_names_path_and_line(self, tmp_path):
+        path = self._dump(tmp_path, "4 3 1 0\n1 2 0\n9 1 1\n3 4 2\n")
+        st = StreamState(4, directed=True)
+        with pytest.raises(GraphError, match=re.escape(f"{path}:3: endpoint out of range in (9,1)")):
+            st.stream_file(path)
+        assert st.streamed == 1
+
     def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(GraphError, match="empty stream file"):
             StreamState(3).stream_file(self._dump(tmp_path, ""))
