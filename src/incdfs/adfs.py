@@ -68,9 +68,10 @@ class AdfsState(IncrementalDfs):
                 self._back[q] = []
         # relink: parent(y) = x, parents along the path flip downward
         children[w].remove(v)
-        # the detached tree edge (w, v) survives as a graph edge and is
-        # still a back edge after the move (w stays an ancestor of v)
-        if self.graph.has_edge(w, v) and w != ROOT:
+        # the detached tree edge (w, v) is a real edge unless w is the
+        # pseudo root, and it is still a back edge after the move (w stays
+        # an ancestor of v)
+        if w != ROOT:
             self._back[w].append((w, v))
         for i in range(len(path) - 1):
             children[path[i + 1]].remove(path[i])
@@ -138,6 +139,12 @@ class AdfsState(IncrementalDfs):
         return True
 
     def _apply(self, u, v):
+        # a stick-endpoint edge is dropped here, as _settle would, without
+        # its frames: on random graphs most insertions end here
+        if self.on_stick[u] or self.on_stick[v]:
+            self.counters.edges_processed += 1
+            self.discarded_edges += 1
+            return
         # without a re-hang the tree, the empty pool and the stick stand
         if self._process(u, v):
             self._drain()

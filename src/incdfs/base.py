@@ -1,7 +1,20 @@
 """Common driver interface shared by all incremental DFS maintainers."""
 from __future__ import annotations
 
-from .core import Counters, Graph, static_dfs
+from .core import ROOT, Counters, DfsTree, Graph
+
+
+def star_tree(n: int) -> DfsTree:
+    """static_dfs of the empty graph, in closed form: every real vertex
+    hangs from the pseudo root in id order and finishes in that order, so
+    dfn[v] = v and the root's dfn is n + 1.  No adjacency list is read."""
+    tree = DfsTree(n)
+    tree.parent = [-1] + [0] * n
+    tree.children[ROOT] = list(range(1, n + 1))
+    tree.depth = [0] + [1] * n
+    tree.dfn = [n + 1, *range(1, n + 1)]
+    tree.dfn_valid = True
+    return tree
 
 
 class IncrementalDfs:
@@ -18,7 +31,7 @@ class IncrementalDfs:
     def __init__(self, n: int, directed: bool = False):
         self.graph = Graph(n, directed=directed)
         self.counters = Counters()
-        self.tree = static_dfs(self.graph)
+        self.tree = star_tree(n)
 
     @property
     def n(self):

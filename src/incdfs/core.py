@@ -3,7 +3,9 @@
 Vertex 0 is a pseudo root connected to every real vertex, so a single DFS
 from 0 always spans the whole graph.  Real vertices are numbered 1..n.
 Adjacency lists keep insertion order; every traversal scans them in that
-order, which makes all runs reproducible from a seed.
+order, which makes all runs reproducible from a seed.  A graph builds its
+adjacency lists on their first read, so maintainers that never scan them
+(adfs1, adfs2, sdfs2) never pay for them.
 """
 from __future__ import annotations
 
@@ -62,8 +64,11 @@ class Counters:
 class Graph:
     """Simple graph over vertices 0..n with pseudo edges 0-v for all v.
 
-    m counts real edges only.  Edge endpoint arrays are kept as growing
-    numpy buffers so the validity oracle can classify all edges at once.
+    m counts real edges only.  A key dict answers has_edge, and the edge
+    endpoint arrays are kept as growing numpy buffers so the validity
+    oracle can classify all edges at once.  out_adj is built from the key
+    dict on its first read, still in insertion order, and kept current
+    from then on; a graph whose adjacency is never read never builds it.
     """
 
     def __init__(self, n: int, directed: bool = False):
@@ -72,15 +77,30 @@ class Graph:
         self.n = n
         self.directed = directed
         self.m = 0
-        self.out_adj: list[list[int]] = [[] for _ in range(n + 1)]
-        self.out_adj[ROOT] = list(range(1, n + 1))
-        if not directed:
-            for v in range(1, n + 1):
-                self.out_adj[v].append(ROOT)
+        self._out_adj: list[list[int]] | None = None
         self._eindex: dict[tuple[int, int], int] = {}
         cap = 16
         self._eu = np.empty(cap, dtype=np.int32)
         self._ev = np.empty(cap, dtype=np.int32)
+
+    @property
+    def out_adj(self) -> list[list[int]]:
+        """Out-lists indexed by vertex, pseudo edges first, then the real
+        edges in insertion order (both ends of an undirected edge)."""
+        adj = self._out_adj
+        if adj is None:
+            n = self.n
+            directed = self.directed
+            adj = [[] if directed else [ROOT] for _ in range(n + 1)]
+            adj[ROOT] = list(range(1, n + 1))
+            # the dict iterates in insertion order: remove_edge deletes a
+            # key and rewrites one value, but never re-inserts a key
+            for u, v in self._eindex:
+                adj[u].append(v)
+                if not directed:
+                    adj[v].append(u)
+            self._out_adj = adj
+        return adj
 
     def _key(self, u: int, v: int) -> tuple[int, int]:
         if self.directed:
@@ -108,26 +128,34 @@ class Graph:
         returned) as Python ints.  A non-integer or out-of-range endpoint
         raises GraphError and changes nothing.
         """
-        u, v = self.endpoints(u, v)
+        # endpoints() and _key() inlined: this runs once per insertion
+        try:
+            u, v = index(u), index(v)
+        except TypeError:
+            raise GraphError(f"non-integer endpoint in ({u!r},{v!r})") from None
         if u == v:
             if not 1 <= u <= self.n:
                 raise GraphError(f"endpoint out of range in ({u},{v})")
             return None
-        key = self._key(u, v)
-        if key in self._eindex:
+        key = (u, v) if u < v or self.directed else (v, u)
+        eindex = self._eindex
+        if key in eindex:
             return None
         if not (1 <= u <= self.n and 1 <= v <= self.n):
             raise GraphError(f"endpoint out of range in ({u},{v})")
-        if self.m == len(self._eu):
+        m = self.m
+        if m == len(self._eu):
             self._eu = np.concatenate([self._eu, np.empty_like(self._eu)])
             self._ev = np.concatenate([self._ev, np.empty_like(self._ev)])
-        self._eindex[key] = self.m
-        self._eu[self.m] = u
-        self._ev[self.m] = v
-        self.m += 1
-        self.out_adj[u].append(v)
-        if not self.directed:
-            self.out_adj[v].append(u)
+        eindex[key] = m
+        self._eu[m] = u
+        self._ev[m] = v
+        self.m = m + 1
+        adj = self._out_adj
+        if adj is not None:
+            adj[u].append(v)
+            if not self.directed:
+                adj[v].append(u)
         return u, v
 
     def add_edge(self, u: int, v: int):
@@ -156,9 +184,11 @@ class Graph:
             self._ev[pos] = lv
             self._eindex[self._key(lu, lv)] = pos
         self.m = last
-        self.out_adj[u].remove(v)
-        if not self.directed:
-            self.out_adj[v].remove(u)
+        adj = self._out_adj
+        if adj is not None:
+            adj[u].remove(v)
+            if not self.directed:
+                adj[v].remove(u)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Views of the real-edge endpoint arrays (do not mutate)."""
@@ -265,23 +295,26 @@ class ValidityReport:
 
 def is_ancestor(tree: DfsTree, a: int, v: int) -> bool:
     """True iff a is an ancestor of v (a == v counts), by parent walk."""
-    depth = tree.depth
     parent = tree.parent
-    if depth[a] > depth[v]:
+    k = tree.depth[v] - tree.depth[a]
+    if k < 0:
         return False
-    while depth[v] > depth[a]:
+    for _ in range(k):
         v = parent[v]
     return v == a
 
 
 def lca(tree: DfsTree, u: int, v: int) -> int:
     """Lowest common ancestor by depth-aligned parent walk; lca(u,u)=u."""
-    depth = tree.depth
     parent = tree.parent
-    while depth[u] > depth[v]:
-        u = parent[u]
-    while depth[v] > depth[u]:
-        v = parent[v]
+    # align the depths with a counted loop: no depth read per step
+    k = tree.depth[u] - tree.depth[v]
+    if k > 0:
+        for _ in range(k):
+            u = parent[u]
+    else:
+        for _ in range(-k):
+            v = parent[v]
     while u != v:
         u = parent[u]
         v = parent[v]

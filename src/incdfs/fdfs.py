@@ -54,9 +54,10 @@ class FdfsState(IncrementalDfs):
             raise GraphError(f"unknown {self.name} mode {mode!r}")
         self.mode = mode
         super().__init__(n, directed=(mode != "undirected"))
-        self.dfn_index = [0] * (n + 2)  # rank -> vertex
-        for v, r in enumerate(self.tree.dfn):
-            self.dfn_index[r] = v
+        if self.directed:  # undirected sdfs3 never reads the ranks
+            self.dfn_index = [0] * (n + 2)  # rank -> vertex
+            for v, r in enumerate(self.tree.dfn):
+                self.dfn_index[r] = v
 
     # -- candidate machinery ----------------------------------------------
 

@@ -388,7 +388,7 @@ def _fork_graph(g):
     h.n = g.n
     h.directed = g.directed
     h.m = g.m
-    h.out_adj = [list(a) for a in g.out_adj]
+    h._out_adj = None if g._out_adj is None else [list(a) for a in g._out_adj]
     h._eindex = dict(g._eindex)
     h._eu = g._eu.copy()
     h._ev = g._ev.copy()

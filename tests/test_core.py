@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incdfs.adfs import ADFS2
-from incdfs.bench import make_algorithm
+from incdfs.base import IncrementalDfs
+from incdfs.bench import compute_pc, make_algorithm
 from incdfs.core import (
     ROOT,
     Counters,
@@ -95,6 +96,44 @@ class TestGraph:
         g.add_edge(np.int64(1), np.int32(3))
         assert g.has_edge(1, 3)
         assert type(g.out_adj[1][-1]) is int
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_out_adj_first_read_late_matches_eager(self, directed, seed):
+        # a graph whose adjacency is first read after random adds and
+        # removes has the lists of one read at construction (kept current
+        # from then on) and of a plain model, list for list.  Seeds 0-2
+        # remove an edge before the first read, which reorders the
+        # endpoint arrays but not the adjacency
+        rng = random.Random(seed)
+        n = 10
+        eager = Graph(n, directed=directed)
+        eager.out_adj
+        lazy = Graph(n, directed=directed)
+        model = [list(range(1, n + 1))] + [[] if directed else [ROOT] for _ in range(n)]
+        first_remove = seed < 3
+        read_at = rng.randrange(20, 120)
+        for i in range(160):
+            u, v = rng.randint(1, n), rng.randint(1, n)
+            if lazy.has_edge(u, v) and (first_remove or rng.random() < 0.3):
+                if first_remove:
+                    assert lazy._out_adj is None
+                    first_remove = False
+                eager.remove_edge(u, v)
+                lazy.remove_edge(u, v)
+                model[u].remove(v)
+                if not directed:
+                    model[v].remove(u)
+            elif eager.add_new_edge(u, v) is not None:
+                assert lazy.add_new_edge(u, v) == (u, v)
+                model[u].append(v)
+                if not directed:
+                    model[v].append(u)
+            if i == read_at:
+                lazy.out_adj
+        assert not first_remove
+        assert lazy.m == eager.m > 0
+        assert lazy.out_adj == eager.out_adj == model
 
 
 ALGO_MODES = [
@@ -222,6 +261,50 @@ def test_restricted_dfs_matches_recursive(seed, n, symmetric):
         state = (list(fresh), [-1] * n, list(depth), [[] for _ in range(n)])
         runs.append((dfs(adj, roots, *state), state))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_initial_star_tree_is_static_dfs_of_empty_graph(n, directed):
+    algo = IncrementalDfs(n, directed=directed)
+    t, ref = algo.tree, static_dfs(Graph(n, directed=directed))
+    assert (t.parent, t.children, t.depth, t.dfn, t.dfn_valid) == (
+        ref.parent, ref.children, ref.depth, ref.dfn, ref.dfn_valid)
+    assert algo.graph._out_adj is None
+
+
+@pytest.mark.parametrize("name,mode", [
+    ("adfs1", "undirected"), ("adfs2", "undirected"),
+    ("sdfs2", "undirected"), ("sdfs2", "directed"),
+])
+def test_non_scanning_maintainers_never_build_adjacency(name, mode):
+    # adfs1, adfs2 and sdfs2 repair from the tree and their stored edges,
+    # so neither a replay nor a validity checkpoint builds out_adj
+    seq = gen_gnm(80, 1200, seed=2, mode=mode)
+    algo = make_algorithm(name, seq.n, mode)
+    for u, v in seq.edges:
+        algo.insert(u, v)
+    assert algo.counters.rebuilds > 10
+    assert is_valid_dfs_tree(algo.graph, algo.tree).ok
+    stick_profile(algo.tree)
+    if not algo.directed:
+        compute_pc(algo.graph, algo.tree)
+    if algo.supports_batch:
+        batched = make_algorithm(name, seq.n, mode)
+        batched.insert_batch(seq.edges)
+        assert batched.graph._out_adj is None
+    assert algo.graph._out_adj is None
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_stream_cores_never_build_adjacency(directed):
+    seq = gen_gnm(80, 1200, seed=2, mode="directed" if directed else "undirected")
+    st = StreamState(seq.n, directed=directed)
+    st.stream_sequence(seq.edges)
+    if directed:
+        st.scc_query()
+    assert st.core.counters.rebuilds > 10
+    assert st.core.graph._out_adj is None
 
 
 class TestStaticDfs:
