@@ -37,11 +37,10 @@ from .core import ROOT, GraphError, extend_stick, lca
 class AdfsState(IncrementalDfs):
     """Shared machinery; ADFS1/ADFS2 differ only in pool order."""
 
-    def __init__(self, n: int, directed: bool = False, adversarial_order: bool = False):
+    def __init__(self, n: int, directed: bool = False):
         if directed:
             raise GraphError("ADFS applies to undirected graphs only")
         super().__init__(n, directed=False)
-        self.adversarial_order = adversarial_order
         self.pending: list = []
         # stored non-tree (back) edges keyed by their shallower endpoint
         self._back = [[] for _ in range(n + 1)]
@@ -169,12 +168,16 @@ class AdfsState(IncrementalDfs):
 
 
 class ADFS1(AdfsState):
-    """Pool in LIFO order, or in the adversarial order that reaches the
-    O(n^{3/2} sqrt(m)) bound: the deepest shallower endpoint first, then
-    the shallowest deeper endpoint, then the smaller ids.  That order picks
-    the stage witness in the worst-case replays."""
+    """Pool in LIFO order, or with adversarial_order in the order that
+    reaches the O(n^{3/2} sqrt(m)) bound: the deepest shallower endpoint
+    first, then the shallowest deeper endpoint, then the smaller ids.  That
+    order picks the stage witness in the worst-case replays."""
 
     name = "adfs1"
+
+    def __init__(self, n: int, directed: bool = False, adversarial_order: bool = False):
+        self.adversarial_order = adversarial_order
+        super().__init__(n, directed)
 
     def _drain(self):
         if self.adversarial_order:

@@ -21,8 +21,8 @@ class IncrementalDfs:
     """Base class: owns the graph, the current tree, and the work counters.
 
     Subclasses implement _apply(u, v) to restore the DFS-tree invariant
-    after one edge insertion, and may override _apply_batch for grouped
-    updates.
+    after one edge insertion, and _apply_batch(edges) for grouped updates
+    unless they set supports_batch = False.
     """
 
     name = "base"
@@ -57,23 +57,30 @@ class IncrementalDfs:
         return True
 
     def insert_batch(self, edges) -> int:
-        """Insert a group of edges, restoring the invariant once at the end."""
+        """Insert a group of edges, restoring the invariant once at the end.
+
+        If adding an edge raises, the edges of the batch already added are
+        removed again, last first, which restores the graph exactly, and
+        the exception propagates with the tree and the counters untouched.
+        """
         if not self.supports_batch:
             raise NotImplementedError(f"{self.name} has no batch mode")
-        add = self.graph.add_new_edge
+        graph = self.graph
+        add = graph.add_new_edge
         fresh = []
-        for u, v in edges:
-            edge = add(u, v)
-            if edge is not None:
-                fresh.append(edge)
-                self.counters.insertions += 1
+        try:
+            for u, v in edges:
+                edge = add(u, v)
+                if edge is not None:
+                    fresh.append(edge)
+        except BaseException:
+            for edge in reversed(fresh):
+                graph.remove_edge(*edge)
+            raise
         if fresh:
+            self.counters.insertions += len(fresh)
             self._apply_batch(fresh)
         return len(fresh)
 
     def _apply(self, u, v):
         raise NotImplementedError
-
-    def _apply_batch(self, edges):
-        for u, v in edges:
-            self._apply(u, v)

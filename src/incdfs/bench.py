@@ -20,7 +20,12 @@ from .sdfs import SDFS, SDFSInt
 from .sdfs2 import Sdfs2State
 from .sdfs3 import Sdfs3State
 
-ALGORITHM_NAMES = ("sdfs", "sdfs-int", "fdfs", "adfs1", "adfs2", "sdfs2", "sdfs3")
+# fdfs and sdfs3 take the mode, the others directed; each rejects its bad modes
+_CONSTRUCTORS = {
+    "sdfs": SDFS, "sdfs-int": SDFSInt, "fdfs": FdfsState, "adfs1": ADFS1,
+    "adfs2": ADFS2, "sdfs2": Sdfs2State, "sdfs3": Sdfs3State,
+}
+ALGORITHM_NAMES = tuple(_CONSTRUCTORS)
 
 
 def make_algorithm(name: str, n: int, mode: str, adversarial_order: bool = False):
@@ -32,28 +37,14 @@ def make_algorithm(name: str, n: int, mode: str, adversarial_order: bool = False
         raise GraphError(f"unknown mode {mode!r}")
     if adversarial_order and name != "adfs1":
         raise GraphError(f"adversarial_order applies to adfs1 only, not {name!r}")
-    directed = mode != "undirected"
-    if name == "sdfs":
-        return SDFS(n, directed=directed)
-    if name == "sdfs-int":
-        return SDFSInt(n, directed=directed)
-    if name == "fdfs":
-        if not directed:
-            raise GraphError("fdfs requires a directed or dag sequence")
-        return FdfsState(n, mode=mode)
-    if name == "adfs1":
-        if directed:
-            raise GraphError("adfs1 is undirected only")
-        return ADFS1(n, adversarial_order=adversarial_order)
-    if name == "adfs2":
-        if directed:
-            raise GraphError("adfs2 is undirected only")
-        return ADFS2(n)
-    if name == "sdfs2":
-        return Sdfs2State(n, directed=directed)
-    if name == "sdfs3":
-        return Sdfs3State(n, mode=mode)
-    raise GraphError(f"unknown algorithm {name!r}")
+    cls = _CONSTRUCTORS.get(name)
+    if cls is None:
+        raise GraphError(f"unknown algorithm {name!r}")
+    if issubclass(cls, FdfsState):
+        return cls(n, mode)
+    if adversarial_order:
+        return cls(n, mode != "undirected", adversarial_order=True)
+    return cls(n, mode != "undirected")
 
 
 # -- theory ----------------------------------------------------------------

@@ -19,8 +19,9 @@ from .bench import (
     run_experiment,
     write_csv,
 )
-from .core import is_valid_dfs_tree, stick_profile
+from .core import GraphError, is_valid_dfs_tree, stick_profile
 from .generators import (
+    GeneratorError,
     gen_gnm,
     gen_worstcase_adfs1,
     gen_worstcase_fdfs,
@@ -81,29 +82,27 @@ def cmd_broomstick(args):
     rows = replay(algo, seq, sample_every=args.sample_every)
     _emit(rows, args.out)
     prof = stick_profile(algo.tree)
-    pred = predict_stick(seq.n, len(seq.edges), c=1.0)
-    print(
-        f"# n={seq.n} m={len(seq.edges)} measured l_s={prof.l_s} "
-        f"bristle={prof.bristle} predicted l_s>={pred}",
-        file=sys.stderr,
-    )
+    m = len(seq.edges)
+    line = f"# n={seq.n} m={m} measured l_s={prof.l_s} bristle={prof.bristle}"
+    if seq.n >= 2 and m >= 1:  # predict_stick's domain
+        line += f" predicted l_s>={predict_stick(seq.n, m, c=1.0)}"
+    print(line, file=sys.stderr)
     return 0
 
 
 def cmd_worstcase(args):
-    family = {
-        "adfs1": (gen_worstcase_adfs1, "adfs1"),
-        "adfs2": (gen_worstcase_adfs1, "adfs2"),
-        "fdfs": (gen_worstcase_fdfs, "fdfs"),
-        "sdfs3": (gen_worstcase_sdfs3, "sdfs3"),
+    gen = {
+        "adfs1": gen_worstcase_adfs1,
+        "adfs2": gen_worstcase_adfs1,
+        "fdfs": gen_worstcase_fdfs,
+        "sdfs3": gen_worstcase_sdfs3,
     }.get(args.algo)
-    if family is None:
+    if gen is None:
         print(f"no adversarial family for {args.algo}", file=sys.stderr)
         return 2
-    gen, algo_name = family
     seq = gen(args.n, args.m)
     mode = "dag" if seq.dag else ("directed" if seq.directed else "undirected")
-    algo = make_algorithm(algo_name, seq.n, mode, adversarial_order=algo_name == "adfs1")
+    algo = make_algorithm(args.algo, seq.n, mode, adversarial_order=args.algo == "adfs1")
     rows = replay(algo, seq, sample_every=args.sample_every)
     _emit(rows, args.out)
     total = algo.counters.edges_processed
@@ -117,13 +116,9 @@ def cmd_worstcase(args):
 
 def cmd_stream(args):
     directed = args.mode != "undirected"
-    if args.dataset is not None:
-        seq = load_dataset(args.dataset, directed=directed)
-        n, edges = seq.n, seq.edges
-    else:
-        n = args.n
-        edges = gen_gnm(args.n, args.m, seed=args.seed, mode=args.mode).edges
-    st = StreamState(n, directed=directed)
+    seq = _get_sequence(args)
+    edges = seq.edges
+    st = StreamState(seq.n, directed=directed)
     st.stream_sequence(edges)
     bound = 4 * st.n * math.log(max(st.n, 2))
     print(
@@ -171,7 +166,12 @@ def main(argv=None):
         _add_common(p)
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (GraphError, GeneratorError) as exc:
+        # bad parameters or input: one line and exit code 2, as argparse does
+        print(f"incdfs {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -218,20 +218,9 @@ class DfsTree:
         self.dfn_valid = False
 
     def recompute_dfn(self):
-        """Recompute post-order ranks from the current structure."""
-        dfn = self.dfn
-        rank = 1
-        stack = [(ROOT, 0)]
-        children = self.children
-        while stack:
-            v, i = stack[-1]
-            if i < len(children[v]):
-                stack[-1] = (v, i + 1)
-                stack.append((children[v][i], 0))
-            else:
-                stack.pop()
-                dfn[v] = rank
-                rank += 1
+        """Recompute post-order ranks from the current structure, in place
+        (callers may hold the dfn list)."""
+        self.dfn[:] = _post_ranks(self.order_times()[1]).tolist()
         self.dfn_valid = True
 
     def order_times(self) -> tuple[np.ndarray, np.ndarray]:
@@ -276,6 +265,13 @@ class DfsTree:
             stack.extend(kids)
 
 
+def _post_ranks(post: np.ndarray) -> np.ndarray:
+    """Post-order ranks 1..len(post) from the exit times post."""
+    ranks = np.empty(len(post), dtype=np.int64)
+    ranks[np.argsort(post)] = np.arange(1, len(post) + 1)
+    return ranks
+
+
 @dataclass(frozen=True)
 class StickProfile:
     l_s: int
@@ -302,6 +298,16 @@ def is_ancestor(tree: DfsTree, a: int, v: int) -> bool:
     for _ in range(k):
         v = parent[v]
     return v == a
+
+
+def violates(tree: DfsTree, u: int, v: int, directed: bool) -> bool:
+    """True iff the new edge (u, v) is cross (undirected: u and v not
+    ancestor-related) or anti-cross (directed: dfn(v) > dfn(u) and v no
+    ancestor of u; dfn must be exact), i.e. it invalidates the tree."""
+    if directed:
+        return tree.dfn[v] > tree.dfn[u] and not is_ancestor(tree, v, u)
+    a, s = (v, u) if tree.depth[u] > tree.depth[v] else (u, v)
+    return not is_ancestor(tree, a, s)
 
 
 def lca(tree: DfsTree, u: int, v: int) -> int:
@@ -465,6 +471,7 @@ def classify_edge(tree: DfsTree, u: int, v: int, directed: bool) -> EdgeClass:
     Directed: tree / back (v a proper ancestor of u) / forward (u a proper
     ancestor of v) / cross when dfn(v) < dfn(u) / anti-cross otherwise.
     Undirected: ancestor relations collapse to back, the rest is cross.
+    It never changes the tree: directed cross/anti-cross needs dfn_valid.
     """
     if u == v:
         raise GraphError("identical endpoints")
@@ -479,7 +486,7 @@ def classify_edge(tree: DfsTree, u: int, v: int, directed: bool) -> EdgeClass:
     if not directed:
         return EdgeClass.CROSS
     if not tree.dfn_valid:
-        tree.recompute_dfn()
+        raise GraphError("directed classification needs an exact dfn")
     return EdgeClass.CROSS if tree.dfn[v] < tree.dfn[u] else EdgeClass.ANTI_CROSS
 
 
@@ -519,8 +526,7 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
     if tree.dfn_valid:
         # stored dfn must be the post-order of the traversal just done:
         # post-order rank is the rank of the exit time
-        ranks = np.empty(n + 1, dtype=np.int64)
-        ranks[np.argsort(post)] = np.arange(1, n + 2)
+        ranks = _post_ranks(post)
         if (np.asarray(tree.dfn, dtype=np.int64) != ranks).any():
             v = int(np.argmax(np.asarray(tree.dfn, dtype=np.int64) != ranks))
             return ValidityReport(False, None, f"dfn not post-order at {v}")

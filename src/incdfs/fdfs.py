@@ -51,7 +51,7 @@ class FdfsState(IncrementalDfs):
 
     def __init__(self, n: int, mode: str = "dag"):
         if mode not in self.modes:
-            raise GraphError(f"unknown {self.name} mode {mode!r}")
+            raise GraphError(f"{self.name} mode {mode!r} is not one of {self.modes}")
         self.mode = mode
         super().__init__(n, directed=(mode != "undirected"))
         if self.directed:  # undirected sdfs3 never reads the ranks
@@ -151,12 +151,14 @@ class FdfsState(IncrementalDfs):
         # subtree of y in post-order, then x, then the untouched interval
         # members (unreached candidates and blocked ancestors) in their old
         # relative order
-        dfn, index = self.tree.dfn, self.dfn_index
         for a in blocked:
             fresh[a] = True
-        new_block = post + [x]
-        new_block += [v for v in block if fresh[v]]
-        for r, v in enumerate(new_block, dfn[x]):
+        self._renumber(post + [x] + [v for v in block if fresh[v]], x)
+        self.counters.rebuilds += 1
+
+    def _renumber(self, order, x):
+        """Give order the ranks dfn(x), dfn(x) + 1, ... (dfn, dfn_index)."""
+        dfn, index = self.tree.dfn, self.dfn_index
+        for r, v in enumerate(order, dfn[x]):
             dfn[v] = r
             index[r] = v
-        self.counters.rebuilds += 1

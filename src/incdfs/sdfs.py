@@ -15,8 +15,9 @@ dfn(u) and v not an ancestor of u (an anti-cross edge).  Undirected, if
 u and v are ancestor-related the deeper one's scan finds the other on
 the stack and the shallower one's finds it finished, so nothing changes;
 if they are not (a cross edge), the one discovered first reaches its new
-entry while the other is still unvisited.  Only a cross or anti-cross edge reruns static_dfs; any other
-edge keeps the tree, which is the DFS's result exactly.
+entry while the other is still unvisited.  Only a cross or anti-cross
+edge (core.violates) reruns static_dfs; any other edge keeps the tree,
+which is the DFS's result exactly.
 
 Charges for a kept tree, in closed form.  The cost counter prices the DFS
 a naive rebuild would run.  sdfs: a full DFS charges n + m.  sdfs-int:
@@ -33,7 +34,7 @@ the path exactly when dfn(s) + depth(s) == n + 1.
 from __future__ import annotations
 
 from .base import IncrementalDfs
-from .core import is_ancestor, static_dfs
+from .core import static_dfs, violates
 
 
 class SDFS(IncrementalDfs):
@@ -56,15 +57,11 @@ class SDFS(IncrementalDfs):
 
     def _apply(self, u, v):
         tree = self.tree
-        if self.graph.directed:
-            s = u
-            changes = tree.dfn[v] > tree.dfn[u] and not is_ancestor(tree, v, u)
-        else:
-            s, a = (v, u) if tree.depth[v] > tree.depth[u] else (u, v)
-            changes = not is_ancestor(tree, a, s)
-        if changes:
+        directed = self.graph.directed
+        if violates(tree, u, v, directed):
             self._rebuild()
             return
+        s = u if directed or tree.depth[u] > tree.depth[v] else v
         if not (self.interrupt and tree.dfn[s] + tree.depth[s] == self.graph.n + 1):
             self._charge += 1
         self.counters.edges_processed += self._charge

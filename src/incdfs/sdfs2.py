@@ -18,14 +18,14 @@ form: the bristle tree edges, the stored edges (an undirected one once,
 though it sits in two lists) and the trigger -- |B| plus the stored edges
 for |B| bristles.  The bristles finish first in the whole tree's post-order
 and the stick keeps its ranks, so the rebuild hands out post-order ranks
-1..|B| to the bristles: a directed dfn stays exact and anti-cross
-classification never renumbers the tree.  Undirected dfn is not maintained
+1..|B| to the bristles: a directed dfn stays exact, as the anti-cross
+test (core.violates) needs.  Undirected dfn is not maintained
 (dfn_valid is cleared, as in the other undirected maintainers).
 """
 from __future__ import annotations
 
 from .base import IncrementalDfs
-from .core import ROOT, EdgeClass, classify_edge, extend_stick, restricted_dfs
+from .core import ROOT, extend_stick, restricted_dfs, violates
 
 
 class Sdfs2State(IncrementalDfs):
@@ -98,9 +98,7 @@ class Sdfs2State(IncrementalDfs):
             # stick-incident edges are always conforming: drop on sight
             self._discard(u, v)
             return
-        directed = self.graph.directed
-        cls = classify_edge(self.tree, u, v, directed)
-        if cls is (EdgeClass.ANTI_CROSS if directed else EdgeClass.CROSS):
+        if violates(self.tree, u, v, self.graph.directed):
             self._rebuild(u, v)
         else:
             self._store(u, v)

@@ -150,8 +150,5 @@ class Sdfs3State(FdfsState):
         # survivors keep their original left-to-right positions
         for p in touched_parents:
             children[p] = [ch for ch in children[p] if parent[ch] == p]
-        index = self.dfn_index
-        for r, v in enumerate(order, dfn[x]):
-            dfn[v] = r
-            index[r] = v
+        self._renumber(order, x)
         self.counters.rebuilds += 1

@@ -328,8 +328,9 @@ class ReferenceAdfs2(_ScanningPool, ADFS2):
 
 class ReferenceSdfs2(Sdfs2State):
     """Sdfs2State with the bristle rebuild that charges one scan at a time
-    and leaves dfn to be recomputed: the reference for Sdfs2State._rebuild,
-    which charges in closed form and keeps a directed dfn exact."""
+    and renumbers a directed tree whole: the reference for
+    Sdfs2State._rebuild, which charges in closed form and ranks only the
+    bristles."""
 
     def _rebuild(self, eu, ev):
         tree = self.tree
@@ -393,7 +394,10 @@ class ReferenceSdfs2(Sdfs2State):
                 state[q] = 2
         self.counters.edges_processed += scanned
         self.counters.rebuilds += 1
-        tree.dfn_valid = False
+        if self.directed:
+            tree.recompute_dfn()  # the anti-cross test reads dfn
+        else:
+            tree.dfn_valid = False
 
         for q in bristles:
             self.stored[q] = []

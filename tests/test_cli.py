@@ -2,7 +2,7 @@ import io
 
 import pytest
 
-from incdfs.adfs import ADFS1
+from incdfs.adfs import ADFS1, ADFS2
 from incdfs.bench import make_algorithm, read_csv, replay
 from incdfs.cli import main
 from incdfs.core import GraphError
@@ -55,6 +55,14 @@ class TestBroomstickCommand:
         assert "predicted l_s>=" in err
         assert "measured l_s=" in err
 
+    def test_prediction_skipped_outside_its_domain(self, capsys):
+        # predict_stick needs n >= 2 and m >= 1; the measured line stays
+        code, out, err = run_cli(capsys, "broomstick", "--algo", "adfs2", "--n", "1",
+                                 "--m", "0")
+        assert code == 0
+        assert read_csv(io.StringIO(out))[-1].m == 0
+        assert "measured l_s=0" in err and "predicted" not in err
+
 
 class TestWorstcaseCommand:
     @pytest.mark.parametrize("algo,n,m", [
@@ -96,6 +104,8 @@ class TestWorstcaseCommand:
     def test_adversarial_order_is_adfs1_only(self):
         with pytest.raises(GraphError):
             make_algorithm("adfs2", 8, "undirected", adversarial_order=True)
+        with pytest.raises(TypeError):
+            ADFS2(8, adversarial_order=True)
 
     def test_unknown_family(self, capsys):
         code, _, err = run_cli(capsys, "worstcase", "--algo", "sdfs")
@@ -138,6 +148,22 @@ class TestValidateCommand:
             capsys, "validate", "--algo", "sdfs", "--dataset", str(path),
         )
         assert code == 0
+
+
+class TestBadParameters:
+    @pytest.mark.parametrize("argv", [
+        ("bench", "--n", "10", "--m", "-1"),
+        ("validate", "--n", "5", "--m", "11"),
+        ("broomstick", "--algo", "adfs1", "--mode", "directed", "--n", "8", "--m", "10"),
+        ("bench", "--algo", "fdfs", "--n", "8", "--m", "10"),
+    ])
+    def test_one_line_and_exit_code_2(self, capsys, argv):
+        # GraphError and GeneratorError become one stderr line, no traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"incdfs {argv[0]}: error: ")
+        assert err.count("\n") == 1
 
 
 class TestCountOptions:

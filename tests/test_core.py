@@ -29,6 +29,7 @@ from oracles import (
     postorder_ranks,
     random_graph,
     reference_static_dfs,
+    state_snapshot,
     tree_from_parents,
 )
 
@@ -179,24 +180,31 @@ def test_numpy_endpoints_never_reach_the_tree(name, mode):
 @pytest.mark.parametrize("name,mode", ALGO_MODES)
 def test_float_endpoints_rejected_before_duplicate_check(name, mode):
     # the self-loop and duplicate checks see normalised endpoints, so a
-    # float endpoint raises even when its integer value is a known edge
+    # float endpoint raises even when its integer value is a known edge; a
+    # batch that ends in one takes back the edges it had added
     algo = make_algorithm(name, 5, mode)
     algo.insert(1, 2)
     before = (_tree_state(algo), algo.graph.real_edges())
+    snapshot = state_snapshot(algo)
     for u, v in ((1.0, 2), (2.0, 2.0), (1, 2.5)):
         with pytest.raises(GraphError):
             algo.insert(u, v)
         if algo.supports_batch:
             with pytest.raises(GraphError):
                 algo.insert_batch([(u, v)])
+            with pytest.raises(GraphError):
+                algo.insert_batch([(1, 3), (3, 4), (1, 2), (2, 4), (u, v)])
     assert (_tree_state(algo), algo.graph.real_edges()) == before
+    assert state_snapshot(algo) == snapshot
     assert not algo.insert(1, 2)
     assert not algo.insert(3, 3)
 
 
 @pytest.mark.parametrize("name,mode", ALGO_MODES)
 def test_out_of_range_self_loop_rejected(name, mode):
-    # the range check covers self loops too, on both insert paths
+    # the range check covers self loops too, on both insert paths; a batch
+    # that ends in one takes back the edges it had added, whether or not
+    # the adjacency lists were built
     algo = make_algorithm(name, 5, mode)
     algo.insert(1, 2)
     before = (_tree_state(algo), algo.graph.real_edges())
@@ -206,7 +214,12 @@ def test_out_of_range_self_loop_rejected(name, mode):
         if algo.supports_batch:
             with pytest.raises(GraphError):
                 algo.insert_batch([(v, v)])
+            with pytest.raises(GraphError):
+                algo.insert_batch([(1, 4), (4, 5), (3, 5), (v, v)])
     assert (_tree_state(algo), algo.graph.real_edges()) == before
+    twin = make_algorithm(name, 5, mode)
+    twin.insert(1, 2)
+    assert state_snapshot(algo) == state_snapshot(twin)
     assert not algo.insert(5, 5)
 
 
@@ -409,6 +422,17 @@ class TestClassifyEdge:
         assert t.dfn[1] == 1 and t.dfn[2] == 2
         assert classify_edge(t, 1, 2, directed=True) == EdgeClass.ANTI_CROSS
         assert classify_edge(t, 2, 1, directed=True) == EdgeClass.CROSS
+
+    def test_stale_directed_dfn_rejected_not_recomputed(self):
+        # classify_edge reads the tree and never renumbers it
+        t = tree_from_parents(2, {1: ROOT, 2: ROOT})
+        t.dfn[1], t.dfn[2] = t.dfn[2], t.dfn[1]
+        t.dfn_valid = False
+        before = list(t.dfn)
+        with pytest.raises(GraphError):
+            classify_edge(t, 1, 2, directed=True)
+        assert t.dfn == before and not t.dfn_valid
+        assert classify_edge(t, 1, 2, directed=False) == EdgeClass.CROSS
 
     def test_identical_endpoints_rejected(self):
         t = tree_from_parents(2, {1: ROOT, 2: ROOT})

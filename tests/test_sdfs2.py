@@ -3,6 +3,10 @@ import math
 
 import pytest
 
+import incdfs.core
+import incdfs.fdfs
+import incdfs.sdfs2
+import incdfs.sdfs3
 from incdfs.bench import make_algorithm
 from incdfs.core import ROOT, DfsTree, is_valid_dfs_tree, stick_profile
 from incdfs.generators import gen_gnm, gen_worstcase_sdfs3
@@ -247,17 +251,25 @@ def test_rebuild_matches_reference(n, m, seed, mode):
 @pytest.mark.parametrize("name", ["sdfs2", "sdfs3", "fdfs"])
 def test_directed_rebuild_never_recomputes_dfn(monkeypatch, name, mode):
     # a directed rebuild assigns the moved vertices' post-order ranks
-    # itself, so anti-cross classification never renumbers the whole tree
+    # itself, so the anti-cross test never renumbers the whole tree, and
+    # no insertion asks classify_edge, which only reads the ranks
     seq = gen_gnm(400, 10000, seed=1, mode=mode)
     algo = make_algorithm(name, seq.n, mode)
     calls = []
     original = DfsTree.recompute_dfn
+    classify = incdfs.core.classify_edge
 
     def counted(tree):
         calls.append(tree)
         original(tree)
 
+    def counted_classify(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
     monkeypatch.setattr(DfsTree, "recompute_dfn", counted)
+    for module in (incdfs.core, incdfs.fdfs, incdfs.sdfs2, incdfs.sdfs3):
+        monkeypatch.setattr(module, "classify_edge", counted_classify, raising=False)
     for u, v in seq.edges:
         algo.insert(u, v)
     assert algo.counters.rebuilds > 100
