@@ -18,9 +18,8 @@ step that moves the depths the keys are made of.
 Edges with an endpoint on the stick proper are ancestor-related to every
 vertex, so they are dropped on sight, and the stored edges keyed on a
 vertex are dropped when it joins the stick; discarded_edges counts both.
-The public stick view (on_stick, stick, bristle_root, discarded_edges) is
-the same as Sdfs2State's.  Only a re-hang changes the tree, so only then
-does the stick walk run, resuming below the old stick (core.extend_stick).
+The stick view is base.StickState's.  Only a re-hang changes the tree, so
+only then does the stick walk run.
 
 Every edge popped from the pool (and the inserted edge itself) charges
 edges_processed once.  Structural bookkeeping -- path reversal, depth
@@ -30,11 +29,11 @@ from __future__ import annotations
 
 from heapq import heapify, heappop
 
-from .base import IncrementalDfs
-from .core import ROOT, GraphError, extend_stick, lca
+from .base import StickState
+from .core import ROOT, GraphError, lca
 
 
-class AdfsState(IncrementalDfs):
+class AdfsState(StickState):
     """Shared machinery; ADFS1/ADFS2 differ only in pool order."""
 
     def __init__(self, n: int, directed: bool = False):
@@ -44,10 +43,6 @@ class AdfsState(IncrementalDfs):
         self.pending: list = []
         # stored non-tree (back) edges keyed by their shallower endpoint
         self._back = [[] for _ in range(n + 1)]
-        self.discarded_edges = 0
-        self.on_stick = bytearray(n + 1)
-        self.stick: list[int] = []
-        self._grow_stick()
 
     # -- re-hang ----------------------------------------------------------
 
@@ -156,15 +151,9 @@ class AdfsState(IncrementalDfs):
         self._drain()
         self._grow_stick()
 
-    def _grow_stick(self):
-        """Extend the stick view; drop the stored edges keyed on the
-        vertices that joined the stick proper."""
-        start = len(self.stick)
-        self.bristle_root = extend_stick(self.tree.children, self.stick)
-        for q in self.stick[start:]:
-            self.on_stick[q] = 1
-            self.discarded_edges += len(self._back[q])
-            self._back[q] = []
+    def _prune(self, q):
+        self.discarded_edges += len(self._back[q])
+        self._back[q] = []
 
 
 class ADFS1(AdfsState):

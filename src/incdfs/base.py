@@ -1,7 +1,7 @@
 """Common driver interface shared by all incremental DFS maintainers."""
 from __future__ import annotations
 
-from .core import ROOT, Counters, DfsTree, Graph
+from .core import ROOT, Counters, DfsTree, Graph, extend_stick
 
 
 def star_tree(n: int) -> DfsTree:
@@ -83,4 +83,36 @@ class IncrementalDfs:
         return len(fresh)
 
     def _apply(self, u, v):
+        raise NotImplementedError
+
+
+class StickState(IncrementalDfs):
+    """A maintainer with the public stick view: on_stick marks the stick
+    proper, stick lists it top down, bristle_root is the first vertex below
+    it, and discarded_edges counts the edges dropped for touching it.
+
+    An edge with an endpoint on the stick proper can never invalidate the
+    tree again.  Subclasses call _grow_stick after each repair and implement
+    _prune(q), which drops the edges they store on q once q joined."""
+
+    def __init__(self, n: int, directed: bool = False):
+        super().__init__(n, directed=directed)
+        self.discarded_edges = 0
+        self.on_stick = bytearray(n + 1)
+        self.stick: list[int] = []
+        # the star tree has no stick proper: this only sets bristle_root
+        self.bristle_root = extend_stick(self.tree.children, self.stick)
+
+    def _grow_stick(self):
+        """Extend the stick view below the old stick (core.extend_stick);
+        prune every vertex that joined, once all of them are marked."""
+        start = len(self.stick)
+        self.bristle_root = extend_stick(self.tree.children, self.stick)
+        joined = self.stick[start:]
+        for q in joined:
+            self.on_stick[q] = 1
+        for q in joined:
+            self._prune(q)
+
+    def _prune(self, q):
         raise NotImplementedError

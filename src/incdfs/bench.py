@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,8 +105,7 @@ def _sig6(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-@dataclass(frozen=True)
-class MetricRow:
+class MetricRow(NamedTuple):
     m: int | float
     delta: int | float
     cumulative: int | float
@@ -113,9 +113,6 @@ class MetricRow:
     bristle: int | float
     pc: float
     rebuilds: int | float
-
-    def as_tuple(self):
-        return (self.m, self.delta, self.cumulative, self.ls, self.bristle, self.pc, self.rebuilds)
 
 
 @dataclass
@@ -143,7 +140,7 @@ def _fmt(x) -> str:
 def write_csv(rows, fh):
     fh.write(CSV_HEADER + "\n")
     for r in rows:
-        fh.write(",".join(_fmt(x) for x in r.as_tuple()) + "\n")
+        fh.write(",".join(_fmt(x) for x in r) + "\n")
 
 
 def read_csv(fh):
@@ -208,7 +205,7 @@ def _mean_rows(per_trial):
     length = min(len(rows) for rows in per_trial)
     out = []
     for i in range(length):
-        cols = list(zip(*(rows[i].as_tuple() for rows in per_trial)))
+        cols = list(zip(*(rows[i] for rows in per_trial)))
         out.append(MetricRow(*(_sig6(sum(c) / len(c)) for c in cols)))
     return out
 

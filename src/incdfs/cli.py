@@ -38,18 +38,26 @@ def _positive_int(text):
     return value
 
 
-def _add_common(p):
-    p.add_argument("--algo", choices=ALGORITHM_NAMES, default="sdfs")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--m", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_positive_int, default=1)
-    p.add_argument("--mode", choices=["undirected", "directed", "dag"],
-                   default="undirected")
-    p.add_argument("--batch", action="store_true")
-    p.add_argument("--dataset", metavar="PATH", default=None)
-    p.add_argument("--sample-every", type=_positive_int, default=1, metavar="K")
-    p.add_argument("--out", metavar="PATH.csv", default=None)
+_OPTIONS = {
+    "--algo": {"choices": ALGORITHM_NAMES, "default": "sdfs"},
+    "--n": {"type": int, "default": 100},
+    "--m": {"type": int, "default": 200},
+    "--seed": {"type": int, "default": 0},
+    "--trials": {"type": _positive_int, "default": 1},
+    "--mode": {"choices": ["undirected", "directed", "dag"], "default": "undirected"},
+    "--batch": {"action": "store_true"},
+    "--dataset": {"metavar": "PATH", "default": None},
+    "--sample-every": {"type": _positive_int, "default": 1, "metavar": "K"},
+    "--out": {"metavar": "PATH.csv", "default": None},
+}
+# the options _get_sequence reads
+_SEQUENCE = ("--n", "--m", "--seed", "--mode", "--dataset")
+_FAMILIES = {
+    "adfs1": gen_worstcase_adfs1,
+    "adfs2": gen_worstcase_adfs1,
+    "fdfs": gen_worstcase_fdfs,
+    "sdfs3": gen_worstcase_sdfs3,
+}
 
 
 def _emit(rows, out):
@@ -91,16 +99,7 @@ def cmd_broomstick(args):
 
 
 def cmd_worstcase(args):
-    gen = {
-        "adfs1": gen_worstcase_adfs1,
-        "adfs2": gen_worstcase_adfs1,
-        "fdfs": gen_worstcase_fdfs,
-        "sdfs3": gen_worstcase_sdfs3,
-    }.get(args.algo)
-    if gen is None:
-        print(f"no adversarial family for {args.algo}", file=sys.stderr)
-        return 2
-    seq = gen(args.n, args.m)
+    seq = _FAMILIES[args.algo](args.n, args.m)
     mode = "dag" if seq.dag else ("directed" if seq.directed else "undirected")
     algo = make_algorithm(args.algo, seq.n, mode, adversarial_order=args.algo == "adfs1")
     rows = replay(algo, seq, sample_every=args.sample_every)
@@ -152,24 +151,31 @@ def cmd_validate(args):
     return 0
 
 
+# each subcommand takes only the options it reads
+_COMMANDS = (
+    ("bench", cmd_bench, tuple(_OPTIONS)),
+    ("broomstick", cmd_broomstick, ("--algo", *_SEQUENCE, "--sample-every", "--out")),
+    ("worstcase", cmd_worstcase, ("--algo", "--n", "--m", "--sample-every", "--out")),
+    ("stream", cmd_stream, _SEQUENCE),
+    ("validate", cmd_validate, ("--algo", *_SEQUENCE, "--sample-every")),
+)
+_OVERRIDES = {("worstcase", "--algo"): {"choices": tuple(_FAMILIES), "required": True}}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(prog="incdfs")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("bench", cmd_bench),
-        ("broomstick", cmd_broomstick),
-        ("worstcase", cmd_worstcase),
-        ("stream", cmd_stream),
-        ("validate", cmd_validate),
-    ):
+    for name, fn, options in _COMMANDS:
         p = sub.add_parser(name)
-        _add_common(p)
+        for opt in options:
+            p.add_argument(opt, **_OVERRIDES.get((name, opt), _OPTIONS[opt]))
         p.set_defaults(func=fn)
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, GeneratorError) as exc:
-        # bad parameters or input: one line and exit code 2, as argparse does
+    except (GraphError, GeneratorError, OSError) as exc:
+        # bad parameters, input or files: one line and exit code 2, as
+        # argparse does
         print(f"incdfs {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,7 @@ class EdgeClass(enum.Enum):
     ANTI_CROSS = "anti-cross"
 
 
+@dataclass(slots=True)
 class Counters:
     """Instrumentation shared by all algorithms.
 
@@ -45,20 +46,10 @@ class Counters:
     insertions (one per batch) answered with a full-DFS tree.
     """
 
-    __slots__ = ("edges_processed", "rebuilds", "insertions", "vertices_remarked")
-
-    def __init__(self):
-        self.edges_processed = 0
-        self.rebuilds = 0
-        self.insertions = 0
-        self.vertices_remarked = 0
-
-    def __repr__(self):
-        return (
-            f"Counters(edges_processed={self.edges_processed}, "
-            f"rebuilds={self.rebuilds}, insertions={self.insertions}, "
-            f"vertices_remarked={self.vertices_remarked})"
-        )
+    edges_processed: int = 0
+    rebuilds: int = 0
+    insertions: int = 0
+    vertices_remarked: int = 0
 
 
 class Graph:
@@ -521,8 +512,9 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
             if parent[c] != v:
                 return ValidityReport(False, None, f"children list broken at {v}")
     pre, post = tree.order_times()
-    if pre[ROOT] != 1 or post[ROOT] != 2 * (n + 1):
-        return ValidityReport(False, None, "tree not connected to root")
+    if not pre.all():
+        v = int(np.argmin(pre))
+        return ValidityReport(False, None, f"vertex {v} not reached from the root")
     if tree.dfn_valid:
         # stored dfn must be the post-order of the traversal just done:
         # post-order rank is the rank of the exit time

@@ -7,6 +7,8 @@ identical arguments produce byte-identical sequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -115,17 +117,7 @@ def gen_worstcase_fdfs(n: int, m: int) -> UpdateSequence:
     for i in range(h - 1):
         edges.append((b[i], b[i + 1]))
     # acyclic fill inside B, lexicographic, skipping the chain edges
-    added = 0
-    for i in range(h):
-        if added >= fill:
-            break
-        for j in range(i + 1, h):
-            if j == i + 1:
-                continue  # chain edge already present
-            edges.append((b[i], b[j]))
-            added += 1
-            if added >= fill:
-                break
+    edges.extend(_fill_within(b, fill))
     triggers = [(a[i], b[0]) for i in range(h)]
     edges.extend(triggers)
     return UpdateSequence(
@@ -294,12 +286,10 @@ def gen_worstcase_adfs1(n: int, m: int) -> UpdateSequence:
 
 def _fill_within(vs, count):
     """First `count` lexicographic pairs inside vs, skipping chain pairs."""
-    out = []
-    for i in range(len(vs)):
-        for j in range(i + 2, len(vs)):
-            out.append((vs[i], vs[j]))
-            if len(out) == count:
-                return out
+    pairs = ((a, b) for i, a in enumerate(vs) for b in vs[i + 2:])
+    out = list(islice(pairs, count))
+    if len(out) == count:
+        return out
     raise GeneratorError(
         f"internal: fill capacity exceeded ({count} edges in {len(vs)} vertices)"
     )
@@ -432,19 +422,14 @@ def load_dataset(path, directed: bool = False) -> UpdateSequence:
     if have_ts:
         rows.sort(key=lambda r: r[2])  # stable: ties keep file order
     index: dict[int, int] = {}
-
-    def vid(x):
-        if x not in index:
-            index[x] = len(index) + 1
-        return index[x]
-
     seen = set()
     edges = []
     batches = []
     batch = -1
     last_t = object()
     for u, v, t in rows:
-        du, dv = vid(u), vid(v)
+        du = index.setdefault(u, len(index) + 1)
+        dv = index.setdefault(v, len(index) + 1)
         key = (du, dv) if directed else (min(du, dv), max(du, dv))
         if key in seen:
             continue
@@ -481,13 +466,5 @@ def batches(seq: UpdateSequence):
         for e in seq.edges:
             yield [e]
         return
-    cur_id = None
-    cur = []
-    for e, b in zip(seq.edges, seq.batch_id):
-        if b != cur_id and cur:
-            yield cur
-            cur = []
-        cur_id = b
-        cur.append(e)
-    if cur:
-        yield cur
+    for _, group in groupby(zip(seq.edges, seq.batch_id), key=itemgetter(1)):
+        yield [e for e, _ in group]

@@ -9,8 +9,8 @@ structure.  A violating insertion (undirected: cross; directed:
 anti-cross) triggers the repair: core.restricted_dfs from the bristle root
 over the bristles, on the bristle-induced subgraph (tree edges, stored
 edges, the trigger).  The stick's tree edges are never touched; afterwards
-the stick walk resumes below the old stick (core.extend_stick) and stored
-edges swallowed by its growth are pruned.
+the stick view (base.StickState) grows and prunes the stored edges its
+growth swallowed.
 
 Every insertion charges one unit.  A rebuild reaches every bristle and
 scans every entry of the bristle-induced subgraph, so its charge is closed
@@ -24,24 +24,19 @@ test (core.violates) needs.  Undirected dfn is not maintained
 """
 from __future__ import annotations
 
-from .base import IncrementalDfs
-from .core import ROOT, extend_stick, restricted_dfs, violates
+from .base import StickState
+from .core import ROOT, restricted_dfs, violates
 
 
-class Sdfs2State(IncrementalDfs):
-    """Public stick view (shared with ADFS): on_stick marks the stick
-    proper, stick lists it top down, bristle_root, discarded_edges counts
-    the edges dropped for touching the stick, and stored[u] lists the
-    stored non-tree edges out of u."""
+class Sdfs2State(StickState):
+    """The stick view of StickState, plus stored[u], the stored non-tree
+    edges out of u, and prune_hook."""
 
     name = "sdfs2"
     supports_batch = False
 
     def __init__(self, n: int, directed: bool = False):
         super().__init__(n, directed=directed)
-        self.discarded_edges = 0
-        self.on_stick = bytearray(n + 1)
-        self.stick: list[int] = []
         # stored non-tree edges, both endpoints in bristles; undirected
         # lists are symmetric, directed ones are source-keyed with a
         # companion in-list used only for pruning
@@ -49,22 +44,10 @@ class Sdfs2State(IncrementalDfs):
         self._stored_in = [[] for _ in range(n + 1)] if directed else None
         # called once per discarded edge; used by the streaming wrapper
         self.prune_hook = None
-        self._grow_stick()
 
     # -- stick maintenance -------------------------------------------------
 
-    def _grow_stick(self):
-        """Extend the stick view; prune stored edges on every vertex that
-        joined the stick proper, once all of them are marked."""
-        start = len(self.stick)
-        self.bristle_root = extend_stick(self.tree.children, self.stick)
-        joined = self.stick[start:]
-        for q in joined:
-            self.on_stick[q] = 1
-        for q in joined:
-            self._prune_vertex(q)
-
-    def _prune_vertex(self, q):
+    def _prune(self, q):
         for v in self.stored[q]:
             self._discard(q, v)
             if self._stored_in is None:

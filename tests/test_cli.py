@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -108,8 +109,11 @@ class TestWorstcaseCommand:
             ADFS2(8, adversarial_order=True)
 
     def test_unknown_family(self, capsys):
-        code, _, err = run_cli(capsys, "worstcase", "--algo", "sdfs")
-        assert code == 2
+        # --algo offers only the four families, so argparse refuses sdfs
+        with pytest.raises(SystemExit) as exc:
+            main(["worstcase", "--algo", "sdfs"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sdfs'" in capsys.readouterr().err
 
 
 class TestStreamCommand:
@@ -165,6 +169,35 @@ class TestBadParameters:
         assert err.startswith(f"incdfs {argv[0]}: error: ")
         assert err.count("\n") == 1
 
+    def test_missing_dataset_one_line_and_exit_code_2(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run_cli(capsys, "validate", "--dataset", str(missing))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("incdfs validate: error: ") and str(missing) in err
+        assert err.count("\n") == 1
+
+
+# the options each subcommand reads; it refuses every other one
+READS = {
+    "bench": ("--algo", "--n", "--m", "--seed", "--trials", "--mode", "--batch",
+              "--dataset", "--sample-every", "--out"),
+    "broomstick": ("--algo", "--n", "--m", "--seed", "--mode", "--dataset",
+                   "--sample-every", "--out"),
+    "worstcase": ("--algo", "--n", "--m", "--sample-every", "--out"),
+    "stream": ("--n", "--m", "--seed", "--mode", "--dataset"),
+    "validate": ("--algo", "--n", "--m", "--seed", "--mode", "--dataset", "--sample-every"),
+}
+
+
+class TestOptionSets:
+    @pytest.mark.parametrize("command", READS)
+    def test_help_lists_exactly_the_options_read(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        offered = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert offered - {"--help"} == set(READS[command])
+
 
 class TestCountOptions:
     @pytest.mark.parametrize("command,algo", [
@@ -174,7 +207,13 @@ class TestCountOptions:
     @pytest.mark.parametrize("option", ["--sample-every", "--trials"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_below_one_rejected_at_parse_time(self, capsys, command, algo, option, value):
+        # a subcommand that does not read the option refuses it outright
+        head = [command] if command == "stream" else [command, "--algo", algo]
         with pytest.raises(SystemExit) as exc:
-            main([command, "--algo", algo, "--n", "12", "--m", "30", option, value])
+            main(head + ["--n", "12", "--m", "30", option, value])
         assert exc.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if option in READS[command]:
+            assert "must be >= 1" in err
+        else:
+            assert f"unrecognized arguments: {option} {value}" in err

@@ -11,6 +11,7 @@ from incdfs.bench import compute_pc, make_algorithm
 from incdfs.core import (
     ROOT,
     Counters,
+    DfsTree,
     EdgeClass,
     Graph,
     GraphError,
@@ -495,6 +496,58 @@ class TestIsValidDfsTree:
         g2 = Graph(2, directed=True)
         g2.add_edge(2, 1)  # cross, right-to-left: fine
         assert is_valid_dfs_tree(g2, t).ok
+
+    @staticmethod
+    def _raw_tree(parent, depth, children, dfn=None):
+        t = DfsTree(len(parent) - 1)
+        t.parent, t.depth, t.children = parent, depth, children
+        if dfn is not None:
+            t.dfn, t.dfn_valid = dfn, True
+        return t
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_duplicate_child_hiding_a_vertex_rejected(self, directed):
+        # the duplicate 1 is entered twice and the last vertex never, yet
+        # the subtrees have equal sizes, so the root's exit time is the one
+        # a whole tree gives
+        if directed:
+            g = Graph(4, directed=True)
+            g.add_edge(2, 3)
+            t = self._raw_tree([-1, 0, 0, 2, 0], [0, 1, 1, 2, 1],
+                               [[1, 1, 2], [], [3], [], []])
+        else:
+            g = Graph(2)
+            t = self._raw_tree([-1, 0, 0], [0, 1, 1], [[1, 1], [], []])
+        rep = is_valid_dfs_tree(g, t)
+        assert not rep.ok and rep.reason == f"vertex {g.n} not reached from the root"
+
+    # one hand-built bad tree per structural rejection; the graph holds the
+    # edges 1-2 and 2-3, and the good tree is the chain 1-2-3
+    @pytest.mark.parametrize("parent,depth,children,dfn,reason", [
+        pytest.param([5, 0, 1, 2], [0, 1, 2, 3], [[1], [2], [3], []], None,
+                     "bad root", id="bad-root"),
+        pytest.param([-1, 0, -1, 2], [0, 1, 2, 3], [[1], [], [3], []], None,
+                     "vertex 2 detached", id="detached"),
+        pytest.param([-1, 0, 1, 2], [0, 1, 2, 2], [[1], [2], [3], []], None,
+                     "depth broken at 3", id="depth-broken"),
+        pytest.param([-1, 0, 1, 1], [0, 1, 2, 2], [[1], [2, 3], [], []], None,
+                     "tree edge (1,3) not in graph", id="tree-edge-not-in-graph"),
+        pytest.param([-1, 0, 1, 2], [0, 1, 2, 3], [[1], [2], [], []], None,
+                     "children/parent mismatch", id="children-parent-mismatch"),
+        pytest.param([-1, 0, 1, 2], [0, 1, 2, 3], [[1], [2, 3], [], []], None,
+                     "children list broken at 1", id="children-list-broken"),
+        pytest.param([-1, 0, 1, 2], [0, 1, 2, 3], [[1], [2, 2], [], []], None,
+                     "vertex 3 not reached from the root", id="not-reached"),
+        pytest.param([-1, 0, 1, 2], [0, 1, 2, 3], [[1], [2], [3], []], [4, 3, 1, 2],
+                     "dfn not post-order at 2", id="dfn-not-post-order"),
+    ])
+    def test_structural_rejection(self, parent, depth, children, dfn, reason):
+        g = chain_graph(3)
+        good = self._raw_tree([-1, 0, 1, 2], [0, 1, 2, 3], [[1], [2], [3], []],
+                              [4, 3, 2, 1])
+        assert is_valid_dfs_tree(g, good).ok
+        rep = is_valid_dfs_tree(g, self._raw_tree(parent, depth, children, dfn))
+        assert not rep.ok and rep.reason == reason
 
 
 class TestLca:

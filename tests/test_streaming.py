@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from incdfs.core import GraphError, is_valid_dfs_tree
+from incdfs.bench import make_algorithm
+from incdfs.core import ROOT, GraphError, is_valid_dfs_tree
 from incdfs.generators import gen_gnm
 from incdfs.streaming import StreamState, strong_components
 from oracles import brute_scc, offline_scc
@@ -93,6 +94,28 @@ class TestStickDiscard:
             back = st.core._back
             for q in stick:
                 assert not back[q]
+
+    @pytest.mark.parametrize("name,mode", [
+        ("adfs1", "undirected"), ("adfs2", "undirected"),
+        ("sdfs2", "undirected"), ("sdfs2", "directed"),
+    ])
+    def test_every_real_edge_is_tree_stored_or_discarded(self, name, mode):
+        # retained_edges reads the stored edges as m minus the real tree
+        # edges and discarded_edges; the stick layer's pruning keeps that
+        # exact after every insertion
+        n = 60
+        seq = gen_gnm(n, 700, seed=4, mode=mode)
+        algo = make_algorithm(name, n, mode)
+        for u, v in seq.edges:
+            algo.insert(u, v)
+            if name == "sdfs2":
+                stored = sum(map(len, algo.stored))
+                stored = stored if algo.directed else stored // 2
+            else:
+                stored = sum(map(len, algo._back))
+            tree_real = n - len(algo.tree.children[ROOT])
+            assert algo.graph.m == tree_real + stored + algo.discarded_edges
+        assert algo.discarded_edges > 0 and algo.stick
 
     def test_directed_witness_targets_stick(self):
         st = StreamState(40, directed=True)
