@@ -57,7 +57,10 @@ def compute_pc(graph, tree) -> float:
 
     Every existing non-tree edge is a back edge in a valid undirected DFS
     tree, so the ancestor-related pairs not yet present are exactly
-    (sum of real ancestor counts) - m.
+    (sum of real ancestor counts) - m.  A real vertex v has depth[v] - 1
+    real proper ancestors, so the pairs are sum(depth[1:]) - n, and
+
+        pc = (C(n, 2) - sum(depth[1:]) + n) / (C(n, 2) - m).
     """
     if graph.directed:
         raise GraphError("compute_pc is defined for undirected graphs")
@@ -65,7 +68,7 @@ def compute_pc(graph, tree) -> float:
     total = n * (n - 1) // 2
     if graph.m >= total:
         raise GraphError("graph is complete: no next edge")
-    ancestor_pairs = sum(tree.depth[v] - 1 for v in range(1, n + 1))
+    ancestor_pairs = sum(tree.depth[1:]) - n
     return (total - ancestor_pairs) / (total - graph.m)
 
 

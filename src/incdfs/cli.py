@@ -7,6 +7,7 @@ stream (semi-streaming run with SCC check), validate (oracle replay).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -60,12 +61,15 @@ _FAMILIES = {
 }
 
 
-def _emit(rows, out):
-    if out is None:
-        write_csv(rows, sys.stdout)
+@contextlib.contextmanager
+def _output(path):
+    """The CSV destination, stdout or the file at path; callers enter it
+    before anything runs, so a path that cannot be written fails at once."""
+    if path is None:
+        yield sys.stdout
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            write_csv(rows, fh)
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
 def _get_sequence(args):
@@ -80,15 +84,16 @@ def cmd_bench(args):
         mode=args.mode, batch=args.batch, dataset=args.dataset,
         sample_every=args.sample_every,
     )
-    _emit(run_experiment(cfg), args.out)
+    with _output(args.out) as fh:
+        write_csv(run_experiment(cfg), fh)
     return 0
 
 
 def cmd_broomstick(args):
-    seq = _get_sequence(args)
-    algo = make_algorithm(args.algo, seq.n, args.mode)
-    rows = replay(algo, seq, sample_every=args.sample_every)
-    _emit(rows, args.out)
+    with _output(args.out) as fh:
+        seq = _get_sequence(args)
+        algo = make_algorithm(args.algo, seq.n, args.mode)
+        write_csv(replay(algo, seq, sample_every=args.sample_every), fh)
     prof = stick_profile(algo.tree)
     m = len(seq.edges)
     line = f"# n={seq.n} m={m} measured l_s={prof.l_s} bristle={prof.bristle}"
@@ -99,11 +104,11 @@ def cmd_broomstick(args):
 
 
 def cmd_worstcase(args):
-    seq = _FAMILIES[args.algo](args.n, args.m)
-    mode = "dag" if seq.dag else ("directed" if seq.directed else "undirected")
-    algo = make_algorithm(args.algo, seq.n, mode, adversarial_order=args.algo == "adfs1")
-    rows = replay(algo, seq, sample_every=args.sample_every)
-    _emit(rows, args.out)
+    with _output(args.out) as fh:
+        seq = _FAMILIES[args.algo](args.n, args.m)
+        mode = "dag" if seq.dag else ("directed" if seq.directed else "undirected")
+        algo = make_algorithm(args.algo, seq.n, mode, adversarial_order=args.algo == "adfs1")
+        write_csv(replay(algo, seq, sample_every=args.sample_every), fh)
     total = algo.counters.edges_processed
     print(
         f"# {seq.provenance}: n={seq.n} m={len(seq.edges)} total={total} "

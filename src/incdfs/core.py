@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from operator import index, length_hint
 
 import numpy as np
@@ -483,56 +484,102 @@ def classify_edge(tree: DfsTree, u: int, v: int, directed: bool) -> EdgeClass:
 
 def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
     """DFS validity oracle: structure checks plus no anti-cross (directed)
-    or no cross (undirected) among the graph's real edges."""
+    or no cross (undirected) among the graph's real edges.
+
+    The checks run in a fixed order and the first failure is reported:
+    root, parents in 0..n, the depth recurrence, tree edges present in the
+    graph, children lists, reachability, dfn (when flagged exact), then
+    the edge intervals.  Once the depth recurrence holds, the parent links
+    form a tree rooted at ROOT and depth is exact, so no graph edge can
+    match a parent link in both directions: every graph edge matches at
+    most one child, and every child at most one graph edge (keys are
+    unique).  All tree edges are present iff the number of matching graph
+    edges equals the number of vertices with a real parent.
+
+    One walk that pops a vertex and pushes its children lists the tree in
+    mirrored preorder (last child first); reversed, that is the post-order,
+    so position gives each vertex its 0-based post-order rank, and a vertex
+    the walk never lists is not reached.  The preorder interval
+    [start, end] of a vertex v ends at end = rank + depth: in preorder, the
+    last vertex of v's subtree comes after the depth proper ancestors of v
+    and after the rank other vertices that finish no later than v.  With
+    subtree sizes, start = end - size + 1.  Intervals are nested or
+    disjoint, so a directed edge (u, v) is anti-cross iff start[v] > end[u],
+    and an undirected edge is cross iff its intervals are disjoint in
+    either order.
+    """
     n = graph.n
     if tree.n != n:
         raise GraphError("tree/graph vertex-count mismatch")
     parent = tree.parent
     children = tree.children
-    # structural checks (vectorized: parent sanity, depth recurrence)
     if parent[ROOT] != -1 or tree.depth[ROOT] != 0:
         return ValidityReport(False, None, "bad root")
     par = np.asarray(parent, dtype=np.int64)
     depth = np.asarray(tree.depth, dtype=np.int64)
-    if (par[1:] < 0).any():
-        v = 1 + int(np.argmax(par[1:] < 0))
+    # range-check before any take: take wraps negative ids
+    p1 = par[1:]
+    off = (p1 < 0) | (p1 > n)
+    if off.any():
+        v = 1 + int(np.argmax(off))
         return ValidityReport(False, None, f"vertex {v} detached")
-    if (depth[1:] != depth[par[1:]] + 1).any():
-        v = 1 + int(np.argmax(depth[1:] != depth[par[1:]] + 1))
+    broken = depth[1:] != depth.take(p1) + 1
+    if broken.any():
+        v = 1 + int(np.argmax(broken))
         return ValidityReport(False, None, f"depth broken at {v}")
-    for v in range(1, n + 1):
-        p = parent[v]
-        if p != ROOT and not graph.has_edge(p, v):
-            return ValidityReport(False, (p, v), f"tree edge ({p},{v}) not in graph")
-    nch = sum(len(c) for c in children)
-    if nch != n:
+    eu, ev = graph.edge_arrays()
+    linked = np.count_nonzero(par.take(ev) == eu)
+    if not graph.directed:
+        linked += np.count_nonzero(par.take(eu) == ev)
+    if linked != np.count_nonzero(p1):
+        for v in range(1, n + 1):
+            p = parent[v]
+            if p != ROOT and not graph.has_edge(p, v):
+                return ValidityReport(False, (p, v), f"tree edge ({p},{v}) not in graph")
+    nkids = np.fromiter(map(len, children), dtype=np.int64, count=n + 1)
+    if nkids.sum() != n:
         return ValidityReport(False, None, "children/parent mismatch")
-    for v in range(n + 1):
-        for c in children[v]:
-            if parent[c] != v:
-                return ValidityReport(False, None, f"children list broken at {v}")
-    pre, post = tree.order_times()
-    if not pre.all():
-        v = int(np.argmin(pre))
+    # all children entries in list order, each beside the vertex listing it;
+    # out-of-range entries are flagged, so the clipped take never aliases
+    kids = np.fromiter(chain.from_iterable(children), dtype=np.int64, count=n)
+    owner = np.repeat(np.arange(n + 1), nkids)
+    wrong = (kids < 1) | (kids > n) | (par.take(kids, mode="clip") != owner)
+    if wrong.any():
+        v = int(owner[np.argmax(wrong)])
+        return ValidityReport(False, None, f"children list broken at {v}")
+    # every listed child has the right parent, so the walk only goes down
+    order = []
+    visit = order.append
+    stack = [ROOT]
+    pop = stack.pop
+    push = stack.extend
+    while stack:
+        v = pop()
+        visit(v)
+        push(children[v])
+    # order is the mirrored preorder, so read backwards it is the post-order
+    walked = np.fromiter(order, dtype=np.int64, count=len(order))
+    rank = np.full(n + 1, -1, dtype=np.int64)
+    rank[walked] = np.arange(len(order) - 1, -1, -1)
+    if (rank < 0).any():
+        v = int(np.argmax(rank < 0))
         return ValidityReport(False, None, f"vertex {v} not reached from the root")
     if tree.dfn_valid:
-        # stored dfn must be the post-order of the traversal just done:
-        # post-order rank is the rank of the exit time
-        ranks = _post_ranks(post)
-        if (np.asarray(tree.dfn, dtype=np.int64) != ranks).any():
-            v = int(np.argmax(np.asarray(tree.dfn, dtype=np.int64) != ranks))
+        stale = np.asarray(tree.dfn, dtype=np.int64) != rank + 1
+        if stale.any():
+            v = int(np.argmax(stale))
             return ValidityReport(False, None, f"dfn not post-order at {v}")
     if graph.m == 0:
         return ValidityReport(True)
-    eu, ev = graph.edge_arrays()
-    # interval tests: Euler intervals are nested or disjoint, so for a
-    # directed edge (u, v), v lying strictly to the right of u's interval
-    # (pre[v] > post[u]) is exactly the anti-cross condition; undirected
-    # cross means the intervals are disjoint in either order
+    size = [1] * (n + 1)
+    for v in order[:0:-1]:  # post-order without the root: children first
+        size[parent[v]] += size[v]
+    end = rank + depth
+    start = end - np.asarray(size, dtype=np.int64) + 1
     if graph.directed:
-        bad = pre[ev] > post[eu]
+        bad = start.take(ev) > end.take(eu)
     else:
-        bad = (pre[ev] > post[eu]) | (pre[eu] > post[ev])
+        bad = (start.take(ev) > end.take(eu)) | (start.take(eu) > end.take(ev))
     if bad.any():
         i = int(np.argmax(bad))
         u, v = int(eu[i]), int(ev[i])

@@ -16,7 +16,17 @@ from scipy.sparse.csgraph import connected_components
 
 from incdfs.adfs import ADFS1, ADFS2
 from incdfs.base import IncrementalDfs
-from incdfs.core import ROOT, DfsTree, EdgeClass, Graph, lca, static_dfs
+from incdfs.core import (
+    ROOT,
+    DfsTree,
+    EdgeClass,
+    Graph,
+    GraphError,
+    ValidityReport,
+    _post_ranks,
+    lca,
+    static_dfs,
+)
 from incdfs.fdfs import CycleError, FdfsState
 from incdfs.generators import GeneratorError, UpdateSequence, _adfs1_layout
 from incdfs.sdfs2 import Sdfs2State
@@ -845,3 +855,77 @@ def reference_gen_worstcase_adfs1(n: int, m: int) -> UpdateSequence:
         provenance="worstcase-adfs1",
         meta=meta,
     )
+
+
+def reference_is_valid_dfs_tree(graph, tree) -> ValidityReport:
+    """The validity oracle as it was before the vectorised passes: Euler
+    times from DfsTree.order_times, a has_edge loop over the tree edges and
+    argsort ranks.  Kept verbatim as the differential reference."""
+    n = graph.n
+    if tree.n != n:
+        raise GraphError("tree/graph vertex-count mismatch")
+    parent = tree.parent
+    children = tree.children
+    # structural checks (vectorized: parent sanity, depth recurrence)
+    if parent[ROOT] != -1 or tree.depth[ROOT] != 0:
+        return ValidityReport(False, None, "bad root")
+    par = np.asarray(parent, dtype=np.int64)
+    depth = np.asarray(tree.depth, dtype=np.int64)
+    if (par[1:] < 0).any():
+        v = 1 + int(np.argmax(par[1:] < 0))
+        return ValidityReport(False, None, f"vertex {v} detached")
+    if (depth[1:] != depth[par[1:]] + 1).any():
+        v = 1 + int(np.argmax(depth[1:] != depth[par[1:]] + 1))
+        return ValidityReport(False, None, f"depth broken at {v}")
+    for v in range(1, n + 1):
+        p = parent[v]
+        if p != ROOT and not graph.has_edge(p, v):
+            return ValidityReport(False, (p, v), f"tree edge ({p},{v}) not in graph")
+    nch = sum(len(c) for c in children)
+    if nch != n:
+        return ValidityReport(False, None, "children/parent mismatch")
+    for v in range(n + 1):
+        for c in children[v]:
+            if parent[c] != v:
+                return ValidityReport(False, None, f"children list broken at {v}")
+    pre, post = tree.order_times()
+    if not pre.all():
+        v = int(np.argmin(pre))
+        return ValidityReport(False, None, f"vertex {v} not reached from the root")
+    if tree.dfn_valid:
+        # stored dfn must be the post-order of the traversal just done:
+        # post-order rank is the rank of the exit time
+        ranks = _post_ranks(post)
+        if (np.asarray(tree.dfn, dtype=np.int64) != ranks).any():
+            v = int(np.argmax(np.asarray(tree.dfn, dtype=np.int64) != ranks))
+            return ValidityReport(False, None, f"dfn not post-order at {v}")
+    if graph.m == 0:
+        return ValidityReport(True)
+    eu, ev = graph.edge_arrays()
+    # interval tests: Euler intervals are nested or disjoint, so for a
+    # directed edge (u, v), v lying strictly to the right of u's interval
+    # (pre[v] > post[u]) is exactly the anti-cross condition; undirected
+    # cross means the intervals are disjoint in either order
+    if graph.directed:
+        bad = pre[ev] > post[eu]
+    else:
+        bad = (pre[ev] > post[eu]) | (pre[eu] > post[ev])
+    if bad.any():
+        i = int(np.argmax(bad))
+        u, v = int(eu[i]), int(ev[i])
+        kind = "anti-cross" if graph.directed else "cross"
+        return ValidityReport(False, (u, v), f"{kind} edge ({u},{v})")
+    return ValidityReport(True)
+
+
+def reference_compute_pc(graph, tree) -> float:
+    """compute_pc as it was before the closed form, kept verbatim as the
+    differential reference."""
+    if graph.directed:
+        raise GraphError("compute_pc is defined for undirected graphs")
+    n = graph.n
+    total = n * (n - 1) // 2
+    if graph.m >= total:
+        raise GraphError("graph is complete: no next edge")
+    ancestor_pairs = sum(tree.depth[v] - 1 for v in range(1, n + 1))
+    return (total - ancestor_pairs) / (total - graph.m)

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from incdfs import cli
 from incdfs.adfs import ADFS1, ADFS2
 from incdfs.bench import make_algorithm, read_csv, replay
 from incdfs.cli import main
@@ -175,6 +176,25 @@ class TestBadParameters:
         assert code == 2
         assert out == ""
         assert err.startswith("incdfs validate: error: ") and str(missing) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("bench", "--algo", "adfs2", "--n", "20", "--m", "50"),
+        ("broomstick", "--algo", "adfs2", "--n", "20", "--m", "50"),
+        ("worstcase", "--algo", "adfs1", "--n", "64", "--m", "256"),
+    ])
+    def test_unwritable_out_fails_before_the_replay(self, capsys, tmp_path,
+                                                    monkeypatch, argv):
+        def never(*args, **kwargs):
+            raise AssertionError("replayed before opening --out")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        monkeypatch.setattr(cli, "replay", never)
+        out = tmp_path / "missing-dir" / "r.csv"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"incdfs {argv[0]}: error: ") and str(out) in err
         assert err.count("\n") == 1
 
 

@@ -29,6 +29,8 @@ from oracles import (
     brute_lca,
     postorder_ranks,
     random_graph,
+    reference_compute_pc,
+    reference_is_valid_dfs_tree,
     reference_static_dfs,
     state_snapshot,
     tree_from_parents,
@@ -548,6 +550,130 @@ class TestIsValidDfsTree:
         assert is_valid_dfs_tree(g, good).ok
         rep = is_valid_dfs_tree(g, self._raw_tree(parent, depth, children, dfn))
         assert not rep.ok and rep.reason == reason
+
+    # ids outside 0..n are rejected before any lookup: a lookup would
+    # raise IndexError above n, and a negative id would alias a vertex
+    @pytest.mark.parametrize("parent,depth,children,reason", [
+        pytest.param([-1, 0, 1, 7], [0, 1, 2, 3], [[1], [2], [3], []],
+                     "vertex 3 detached", id="parent-above-n"),
+        pytest.param([-1, 0, 1, 0], [0, 1, 2, 1], [[1, -1], [2], [], []],
+                     "children list broken at 0", id="negative-child"),
+        pytest.param([-1, 0, 1, 2], [0, 1, 2, 3], [[1], [2], [4], []],
+                     "children list broken at 2", id="child-above-n"),
+    ])
+    def test_out_of_range_ids_rejected(self, parent, depth, children, reason):
+        rep = is_valid_dfs_tree(chain_graph(3), self._raw_tree(parent, depth, children))
+        assert not rep.ok and rep.reason == reason
+
+    @pytest.mark.parametrize("mode", ["undirected", "directed"])
+    def test_valid_tree_takes_the_vectorised_path(self, monkeypatch, mode):
+        algo = make_algorithm("sdfs", 200, mode)
+        algo.insert_batch(gen_gnm(200, 3000, seed=1, mode=mode).edges)
+        calls = []
+
+        def counted(original):
+            def wrapper(*args):
+                calls.append(original.__name__)
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(Graph, "has_edge", counted(Graph.has_edge))
+        monkeypatch.setattr(DfsTree, "order_times", counted(DfsTree.order_times))
+        assert is_valid_dfs_tree(algo.graph, algo.tree).ok
+        assert calls == []
+
+
+# maintainer and graph mode pairs that make_algorithm accepts
+_MAINTAINER_MODES = [
+    (name, mode)
+    for name in ("sdfs", "sdfs-int", "sdfs2", "sdfs3")
+    for mode in ("undirected", "directed", "dag")
+] + [("fdfs", "directed"), ("fdfs", "dag"), ("adfs1", "undirected"),
+     ("adfs2", "undirected")]
+_CORRUPTIONS = ("none", "parent", "depth", "child", "child-order", "dfn",
+                "graph-edge", "move-subtree")
+
+
+def _corrupt(graph, tree, kind, rng):
+    """Apply one corruption of the given kind in place.  Returns the reason
+    the oracle must give when the corruption writes an id outside the tree
+    (the reference oracle crashes or aliases there), else None."""
+    n = tree.n
+    parent, children = tree.parent, tree.children
+    if kind == "parent":
+        v, p = rng.randint(0, n), rng.randint(-3, n + 3)
+        parent[v] = p
+        if v and p > n:
+            return f"vertex {v} detached"
+    elif kind == "depth":
+        tree.depth[rng.randint(0, n)] = rng.randint(-2, n + 2)
+    elif kind == "child":
+        v = rng.choice([v for v in range(n + 1) if children[v]])
+        kids, c = children[v], rng.randint(-3, n + 3)
+        op = rng.randrange(3)
+        if op == 0:
+            del kids[rng.randrange(len(kids))]
+        elif op == 1:  # the count is off, which is reported before any lookup
+            kids.insert(rng.randint(0, len(kids)), c)
+        else:
+            kids[rng.randrange(len(kids))] = c
+            if not 0 <= c <= n:
+                return f"children list broken at {v}"
+    elif kind == "child-order":
+        rng.shuffle(children[rng.randint(0, n)])
+    elif kind == "dfn":
+        if not tree.dfn_valid:
+            tree.recompute_dfn()
+        tree.dfn[rng.randint(0, n)] = rng.randint(0, n + 2)
+    elif kind == "graph-edge":
+        if graph.m:
+            graph.remove_edge(*rng.choice(graph.real_edges()))
+    elif kind == "move-subtree":
+        # re-hang v under a vertex outside its subtree, keeping parent,
+        # children and depth consistent
+        v = rng.randint(1, n)
+        inside, stack = set(), [v]
+        while stack:
+            x = stack.pop()
+            inside.add(x)
+            stack.extend(children[x])
+        p = rng.choice([x for x in range(n + 1) if x not in inside])
+        children[parent[v]].remove(v)
+        children[p].insert(rng.randint(0, len(children[p])), v)
+        parent[v] = p
+        tree.refresh_depths(v)
+        if p != ROOT and rng.random() < 0.5:
+            graph.add_new_edge(p, v)
+        if tree.dfn_valid and rng.random() < 0.5:
+            tree.recompute_dfn()
+    return None
+
+
+class TestOracleDifferential:
+    """The vectorised oracle against the reference one it replaced, on
+    small maintained trees with one random corruption each."""
+
+    @given(st.sampled_from(_MAINTAINER_MODES), st.integers(1, 12),
+           st.floats(0.0, 1.0), st.integers(0, 2**16),
+           st.sampled_from(_CORRUPTIONS), st.integers(0, 2**32))
+    @settings(max_examples=600, deadline=None)
+    def test_same_report_as_reference(self, maintainer, n, density, seed, kind, salt):
+        name, mode = maintainer
+        pairs = n * (n - 1) if mode == "directed" else n * (n - 1) // 2
+        algo = make_algorithm(name, n, mode)
+        for u, v in gen_gnm(n, int(density * pairs), seed=seed, mode=mode).edges:
+            algo.insert(u, v)
+        graph, tree = algo.graph, algo.tree
+        out_of_range = _corrupt(graph, tree, kind, random.Random(salt))
+        rep = is_valid_dfs_tree(graph, tree)
+        if out_of_range is not None:
+            assert not rep.ok and rep.reason == out_of_range
+            return
+        assert rep == reference_is_valid_dfs_tree(graph, tree)
+        if kind == "none":
+            assert rep.ok
+        if rep.ok and not graph.directed and graph.m < pairs:
+            assert compute_pc(graph, tree) == reference_compute_pc(graph, tree)
 
 
 class TestLca:
