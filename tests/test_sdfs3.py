@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incdfs.core import ROOT, GraphError, is_valid_dfs_tree
+from incdfs.core import ROOT, GraphError, is_valid_dfs_tree, static_dfs
 from incdfs.fdfs import CycleError, FdfsState
 from incdfs.generators import gen_gnm, gen_worstcase_fdfs, gen_worstcase_sdfs3
 from incdfs.sdfs3 import Sdfs3State
@@ -227,6 +227,54 @@ def test_directed_repairs_match_reference_on_small_graphs(case):
             assert _sdfs3_state(algo) == _sdfs3_state(ref)
             assert _dfn_index_inverts_dfn(algo)
 
+
+
+def _keeps_static_dfs_tree(algo, edges, snapshot):
+    """Insert edges one by one; after each, rejected dag insertions
+    included, the tree must be static_dfs's tree of the current graph.
+    With snapshot, a rejected insertion must also leave the state as it
+    was."""
+    for u, v in edges:
+        before = state_snapshot(algo) if snapshot else None
+        try:
+            algo.insert(u, v)
+        except CycleError:
+            if snapshot:
+                assert state_snapshot(algo) == before
+        t, ref = algo.tree, static_dfs(algo.graph)
+        assert (t.parent, t.children, t.depth, t.dfn) == (
+            ref.parent, ref.children, ref.depth, ref.dfn)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.sampled_from(["directed", "dag"]),
+            st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=40),
+        )
+    )
+)
+def test_directed_repairs_keep_the_static_dfs_tree(case):
+    # fdfs and sdfs3 directed keep exactly the tree a static DFS of the
+    # current graph gives, so re-traversing the candidates phase 1 did not
+    # reach can change nothing
+    n, mode, edges = case
+    for cls in (FdfsState, Sdfs3State):
+        _keeps_static_dfs_tree(cls(n, mode), edges, snapshot=True)
+
+
+@pytest.mark.parametrize("cls", [FdfsState, Sdfs3State])
+@pytest.mark.parametrize("case", ["gnm", "worstcase_fdfs"])
+def test_directed_repairs_keep_the_static_dfs_tree_seeded(cls, case):
+    if case == "gnm":
+        seq, mode = gen_gnm(120, 3000, seed=0, mode="directed"), "directed"
+    else:
+        seq, mode = gen_worstcase_fdfs(100, 1200), "dag"
+    algo = cls(seq.n, mode)
+    _keeps_static_dfs_tree(algo, seq.edges, snapshot=False)
+    assert algo.counters.rebuilds > 50
 
 @pytest.mark.parametrize("mode", ["directed", "dag"])
 def test_reference_replays_its_own_directed_loop(monkeypatch, mode):
