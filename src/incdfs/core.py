@@ -414,16 +414,16 @@ def static_dfs(
     return tree
 
 
-def restricted_dfs(adj, roots, fresh, parent, depth, children) -> list:
-    """Static DFS over the fresh vertices; returns their post-order.
+def restricted_dfs(adj, root, fresh, parent, depth, children) -> list:
+    """Static DFS from root over the fresh vertices; returns the post-order
+    of root and every vertex it entered.
 
-    From each root in roots that is still fresh, in order, the DFS enters
-    every vertex w with fresh[w] truthy that it finds by scanning adj, in
-    adjacency order.  On entry it clears fresh[w], hangs w as the last
-    child of the vertex it was found from (children[u].append(w),
-    parent[w] = u) and sets depth[w] one below it; a root is only cleared,
-    its own parent and depth (which is read) are the caller's.  fresh may
-    be a list or a bytearray, and the other mappings may be the
+    The DFS clears fresh[root], then enters every vertex w with fresh[w]
+    truthy that it finds by scanning adj, in adjacency order.  On entry it
+    clears fresh[w], hangs w as the last child of the vertex it was found
+    from (children[u].append(w), parent[w] = u) and sets depth[w] one below
+    it; root's own parent and depth (which is read) are the caller's.
+    fresh may be a list or a bytearray, and the other mappings may be the
     tree's lists or scratch dicts: the repairs that must stay undone until
     they are known to succeed hand in {} / defaultdict(list).
 
@@ -433,27 +433,23 @@ def restricted_dfs(adj, roots, fresh, parent, depth, children) -> list:
     """
     post = []
     finish = post.append
-    stack = []
+    fresh[root] = False
+    stack = [(root, iter(adj[root]))]
     push = stack.append
     pop = stack.pop
-    for root in roots:
-        if not fresh[root]:
-            continue
-        fresh[root] = False
-        push((root, iter(adj[root])))
-        while stack:
-            u, it = stack[-1]
-            for w in it:
-                if fresh[w]:
-                    fresh[w] = False
-                    parent[w] = u
-                    depth[w] = depth[u] + 1
-                    children[u].append(w)
-                    push((w, iter(adj[w])))
-                    break
-            else:
-                pop()
-                finish(u)
+    while stack:
+        u, it = stack[-1]
+        for w in it:
+            if fresh[w]:
+                fresh[w] = False
+                parent[w] = u
+                depth[w] = depth[u] + 1
+                children[u].append(w)
+                push((w, iter(adj[w])))
+                break
+        else:
+            pop()
+            finish(u)
     return post
 
 
@@ -547,7 +543,22 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
     if wrong.any():
         v = int(owner[np.argmax(wrong)])
         return ValidityReport(False, None, f"children list broken at {v}")
-    # every listed child has the right parent, so the walk only goes down
+    # every listed child has the right parent, so the walks only go down.
+    # Once n entries name no vertex twice they are a permutation of 1..n;
+    # a duplicate hides some vertex, and a walk that re-entered a subtree
+    # per entry would double its work at each level of such a chain.
+    listed = np.zeros(n + 1, dtype=bool)
+    listed[kids] = True
+    if not listed[1:].all():
+        seen = bytearray(n + 1)
+        stack = [ROOT]
+        while stack:
+            v = stack.pop()
+            if not seen[v]:
+                seen[v] = True
+                stack.extend(children[v])
+        v = seen.index(0, 1)
+        return ValidityReport(False, None, f"vertex {v} not reached from the root")
     order = []
     visit = order.append
     stack = [ROOT]

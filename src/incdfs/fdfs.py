@@ -3,7 +3,8 @@
 The tree's post-order numbering (dfn) and its inverse dfn_index are kept
 exact.  An inserted edge (x, y) with dfn(x) >= dfn(y) never invalidates
 the tree and is absorbed in O(1).  Otherwise it is an anti-cross edge,
-repaired in phases; sdfs3's directed modes share phase 1 and the splice.
+repaired in phases; sdfs3's directed modes run this same repair and only
+charge differently.
 
 Candidate set: vertices with dfn in (dfn(x), hi], excluding the proper
 ancestors of x below w = lca(x, y) (the blocked ancestors), where
@@ -18,9 +19,19 @@ entering any of them means y reaches x, so the insertion closes a cycle
 and is rejected with CycleError before anything is written.  A rejected
 insertion leaves the graph, the tree, dfn, dfn_index and all four
 counters exactly as before the call.  The splice then hangs the reached
-vertices from (x, y) as the subtree of y, and fdfs renumbers the rank
-interval [dfn(x), hi] in closed form; sdfs3's module docstring shows
-why no rank outside that interval changes.
+vertices from (x, y) as the subtree of y.
+
+Only the block dfn_index[lo : hi + 1] is renumbered, lo = dfn(x):
+- A candidate's old subtree lies inside (lo, hi]: its ranks are
+  contiguous up to its own, and a descendant ranked at or below lo would
+  make it an ancestor of x, and those are blocked.
+- The repair moves only reached candidates, into y's new subtree under
+  x; an unreached candidate keeps its parent and its place among its
+  siblings.
+- So the block's vertices take exactly the ranks lo..hi and no other
+  vertex's rank changes.  In order they are y's new subtree, x, then the
+  unreached candidates and the blocked ancestors in their old relative
+  order.
 """
 from __future__ import annotations
 
@@ -121,7 +132,7 @@ class FdfsState(IncrementalDfs):
         adj = self.graph.out_adj
         new_parent = {y: x}  # keyed by every reached vertex
         new_children = defaultdict(list)
-        post = restricted_dfs(adj, (y,), fresh, new_parent, {y: 0}, new_children)
+        post = restricted_dfs(adj, y, fresh, new_parent, {y: 0}, new_children)
         if dag and not (fresh[x] and all(map(fresh.__getitem__, blocked))):
             reject(self, x, y)
         self.counters.edges_processed += sum(map(len, map(adj.__getitem__, post)))
@@ -146,19 +157,16 @@ class FdfsState(IncrementalDfs):
         return block, blocked, fresh, post
 
     def _rebuild(self, x, y, w):
-        block, blocked, fresh, post = self._splice(x, y, w)
-        # renumber the contiguous rank interval [dfn(x), hi]: the spliced
-        # subtree of y in post-order, then x, then the untouched interval
-        # members (unreached candidates and blocked ancestors) in their old
-        # relative order
-        for a in blocked:
-            fresh[a] = True
-        self._renumber(post + [x] + [v for v in block if fresh[v]], x)
+        self._renumber(x, *self._splice(x, y, w))
         self.counters.rebuilds += 1
 
-    def _renumber(self, order, x):
-        """Give order the ranks dfn(x), dfn(x) + 1, ... (dfn, dfn_index)."""
+    def _renumber(self, x, block, blocked, fresh, post):
+        """Give the block the ranks dfn(x), dfn(x) + 1, ... (dfn, dfn_index)
+        in the order of the module docstring.  fresh is _splice's; the
+        blocked ancestors are marked in it to pick the untouched members."""
+        for a in blocked:
+            fresh[a] = True
         dfn, index = self.tree.dfn, self.dfn_index
-        for r, v in enumerate(order, dfn[x]):
+        for r, v in enumerate([*post, x, *filter(fresh.__getitem__, block)], dfn[x]):
             dfn[v] = r
             index[r] = v

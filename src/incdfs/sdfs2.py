@@ -138,7 +138,7 @@ class Sdfs2State(StickState):
         # every vertex may start fresh.  The charge is |B| (the |B| - 1
         # bristle tree edges plus the trigger) plus the stored edges, and a
         # directed dfn gives the bristles the post-order ranks 1..|B|.
-        post = restricted_dfs(adj, (root,), [True] * len(parent), parent, depth, children)
+        post = restricted_dfs(adj, root, [True] * len(parent), parent, depth, children)
         self.counters.edges_processed += len(post) + (entries if directed else entries // 2)
         self.counters.rebuilds += 1
         if directed:

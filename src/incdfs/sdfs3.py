@@ -15,27 +15,26 @@ subtree containing y.  The charge counts each edge once: the members'
 real adjacency entries minus the internal edges I, where 2I is the number
 of member entries that point at a member.  dfn is left stale.
 
-Directed and dag modes are fdfs with a phase 2: they share its candidate
-interval, its phase 1 (the restricted DFS from y, with the dag tripwires
-and the reject test) and its splice.  Phase 2 then detaches every
-candidate subtree phase 1 did not reach and re-traverses them with one
-more restricted_dfs from their roots in old rank order, re-hanging each
-in place and charging every out-entry it visits.  This full re-traversal
-is what costs Theta(m^2) in the worst case.
-
-Only the block dfn_index[lo : hi + 1] is renumbered, lo = dfn(x):
-- A candidate's old subtree lies inside (lo, hi]: its ranks are
-  contiguous up to its own, and a descendant ranked at or below lo would
-  make it an ancestor of x, and those are blocked.
-- Every candidate the repair moves is hung from x or from a candidate;
-  an unreached root keeps its parent and its place among its siblings.
-- So the block's vertices take exactly the ranks lo..hi and no other
-  vertex's rank changes.  In order they are y's new subtree, x, then each
-  blocked ancestor after the phase 2 trees of the roots ranked below it.
+Directed and dag modes are fdfs's repair with sdfs3's charge: they share
+its candidate interval, its phase 1 (the restricted DFS from y, with the
+dag tripwires and the reject test), its splice and its renumbering.  The
+simple algorithm then re-traverses every candidate subtree phase 1 did
+not reach, from its root in old rank order, re-hung in place.  That
+re-traversal gives back the tree it starts from, so it is not run:
+- The old tree is valid, so no edge is anti-cross: no edge leads from a
+  finished subtree to a vertex discovered after it.
+- A reached vertex's subtree is wholly reached, so a vertex that left an
+  unreached subtree took its whole subtree with it.
+- The tree is the static DFS of the graph (the tests pin this after every
+  insertion).  So a DFS from an unreached root over the fresh vertices
+  meets them in the order the old DFS did and returns the root's old
+  subtree minus the reached vertices, children in the same order.
+As sdfs.py does for its kept trees, the charge prices the re-traversal
+that no longer runs: every out-entry of each unreached candidate, plus one
+vertices_remarked per candidate.  That re-traversal is what costs
+Theta(m^2) in the worst case.
 """
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .core import lca, restricted_dfs
 from .fdfs import FdfsState
@@ -109,46 +108,19 @@ class Sdfs3State(FdfsState):
         parent[entry] = anchor
         depth[entry] = depth[anchor] + 1
         children[anchor].append(entry)
-        restricted_dfs(adj, (entry,), fresh, parent, depth, children)
+        restricted_dfs(adj, entry, fresh, parent, depth, children)
         self.counters.edges_processed += entries - twice_internal // 2
         tree.dfn_valid = False
         self.counters.rebuilds += 1
 
-    # -- directed: full candidate-set re-traversal -------------------------
+    # -- directed: fdfs's repair, charged as a full candidate re-traversal
 
     def _rebuild(self, x, y, w):
-        tree = self.tree
-        parent, depth, children, dfn = tree.parent, tree.depth, tree.children, tree.dfn
-        adj = self.graph.out_adj
         block, blocked, fresh, post = self._splice(x, y, w)
+        adj = self.graph.out_adj
         self.counters.vertices_remarked += len(block) - 1 - len(blocked)
-        # detach every candidate subtree phase 1 did not reach; the roots
-        # are the unreached candidates whose parent is no candidate
-        roots = []
-        charge = 0
-        for v in block:
-            if fresh[v]:
-                children[v] = []
-                charge += len(adj[v])
-                if not fresh[parent[v]]:
-                    roots.append(v)
-        self.counters.edges_processed += charge
-        touched_parents = {parent[r] for r in roots}
-
-        # phase 2: re-traverse the detached subtrees from the roots in old
-        # rank order, re-hung in place: the expensive part.  Each blocked
-        # ancestor finishes after the roots ranked below it.
-        order = post + [x]
-        i = 0
-        for a in blocked:
-            j = bisect_left(roots, dfn[a], i, key=dfn.__getitem__)
-            order += restricted_dfs(adj, roots[i:j], fresh, parent, depth, children)
-            order.append(a)
-            i = j
-        order += restricted_dfs(adj, roots[i:], fresh, parent, depth, children)
-        # absorbed roots leave their old parents through this filter; the
-        # survivors keep their original left-to-right positions
-        for p in touched_parents:
-            children[p] = [ch for ch in children[p] if parent[ch] == p]
-        self._renumber(order, x)
+        # fresh marks exactly the unreached candidates until _renumber
+        self.counters.edges_processed += sum(
+            map(len, map(adj.__getitem__, filter(fresh.__getitem__, block))))
+        self._renumber(x, block, blocked, fresh, post)
         self.counters.rebuilds += 1

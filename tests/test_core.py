@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -238,7 +239,7 @@ def test_stream_float_endpoints_rejected(directed):
     assert st.duplicates == 1
 
 
-def naive_restricted_dfs(adj, roots, fresh, parent, depth, children):
+def naive_restricted_dfs(adj, root, fresh, parent, depth, children):
     """Recursive restricted DFS: the reference for core.restricted_dfs."""
     post = []
 
@@ -252,10 +253,8 @@ def naive_restricted_dfs(adj, roots, fresh, parent, depth, children):
                 visit(w)
         post.append(u)
 
-    for r in roots:
-        if fresh[r]:
-            fresh[r] = False
-            visit(r)
+    fresh[root] = False
+    visit(root)
     return post
 
 
@@ -270,12 +269,12 @@ def test_restricted_dfs_matches_recursive(seed, n, symmetric):
         if symmetric:
             adj[v].append(u)
     fresh = [rng.random() < 0.7 for _ in range(n)]
-    roots = [rng.randrange(n) for _ in range(rng.randrange(0, 4))]
+    root = rng.randrange(n)
     depth = [rng.randrange(5) for _ in range(n)]
     runs = []
     for dfs in (restricted_dfs, naive_restricted_dfs):
         state = (list(fresh), [-1] * n, list(depth), [[] for _ in range(n)])
-        runs.append((dfs(adj, roots, *state), state))
+        runs.append((dfs(adj, root, *state), state))
     assert runs[0] == runs[1]
 
 
@@ -522,6 +521,25 @@ class TestIsValidDfsTree:
             t = self._raw_tree([-1, 0, 0], [0, 1, 1], [[1, 1], [], []])
         rep = is_valid_dfs_tree(g, t)
         assert not rep.ok and rep.reason == f"vertex {g.n} not reached from the root"
+
+    def test_doubled_chain_is_rejected_in_linear_time(self):
+        # chain 1..k whose every vertex lists its child twice, with the
+        # k - 1 vertices after it hanging off the root unlisted: the entry
+        # count matches, and re-walking a subtree per entry would take
+        # 2^(k-1) steps
+        k = 31
+        n = 2 * k - 1
+        g = Graph(n)
+        for v in range(1, k):
+            g.add_edge(v, v + 1)
+        t = self._raw_tree(
+            [-1, *range(k), *[0] * (k - 1)],
+            [0, *range(1, k + 1), *[1] * (k - 1)],
+            [[1], *[[v, v] for v in range(2, k + 1)], *[[] for _ in range(k)]])
+        start = time.perf_counter()
+        rep = is_valid_dfs_tree(g, t)
+        assert time.perf_counter() - start < 0.5
+        assert not rep.ok and rep.reason == f"vertex {k + 1} not reached from the root"
 
     # one hand-built bad tree per structural rejection; the graph holds the
     # edges 1-2 and 2-3, and the good tree is the chain 1-2-3
