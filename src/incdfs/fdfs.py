@@ -167,6 +167,6 @@ class FdfsState(IncrementalDfs):
         for a in blocked:
             fresh[a] = True
         dfn, index = self.tree.dfn, self.dfn_index
-        for r, v in enumerate([*post, x, *filter(fresh.__getitem__, block)], dfn[x]):
+        for r, v in enumerate(post + [x] + [v for v in block if fresh[v]], dfn[x]):
             dfn[v] = r
             index[r] = v

@@ -120,7 +120,6 @@ class Sdfs3State(FdfsState):
         adj = self.graph.out_adj
         self.counters.vertices_remarked += len(block) - 1 - len(blocked)
         # fresh marks exactly the unreached candidates until _renumber
-        self.counters.edges_processed += sum(
-            map(len, map(adj.__getitem__, filter(fresh.__getitem__, block))))
+        self.counters.edges_processed += sum([len(adj[v]) for v in block if fresh[v]])
         self._renumber(x, block, blocked, fresh, post)
         self.counters.rebuilds += 1
