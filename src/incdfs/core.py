@@ -494,8 +494,10 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
 
     One walk that pops a vertex and pushes its children lists the tree in
     mirrored preorder (last child first); reversed, that is the post-order,
-    so position gives each vertex its 0-based post-order rank, and a vertex
-    the walk never lists is not reached.  The preorder interval
+    so position gives each vertex its 0-based post-order rank.  The walk
+    lists every vertex once iff the children entries are a permutation of
+    1..n; when they are not, a walk that skips vertices already seen names
+    the first vertex not reached.  The preorder interval
     [start, end] of a vertex v ends at end = rank + depth: in preorder, the
     last vertex of v's subtree comes after the depth proper ancestors of v
     and after the rank other vertices that finish no later than v.  With
@@ -543,13 +545,14 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
     if wrong.any():
         v = int(owner[np.argmax(wrong)])
         return ValidityReport(False, None, f"children list broken at {v}")
-    # every listed child has the right parent, so the walks only go down.
-    # Once n entries name no vertex twice they are a permutation of 1..n;
+    # every listed child has the right parent and the parent links form a
+    # tree (depth recurrence), so when the n entries are a permutation of
+    # 1..n one walk down from the root lists every vertex once.  Otherwise
     # a duplicate hides some vertex, and a walk that re-entered a subtree
     # per entry would double its work at each level of such a chain.
     listed = np.zeros(n + 1, dtype=bool)
     listed[kids] = True
-    if not listed[1:].all():
+    if np.count_nonzero(listed) != n:
         seen = bytearray(n + 1)
         stack = [ROOT]
         while stack:
@@ -569,12 +572,9 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
         visit(v)
         push(children[v])
     # order is the mirrored preorder, so read backwards it is the post-order
-    walked = np.fromiter(order, dtype=np.int64, count=len(order))
-    rank = np.full(n + 1, -1, dtype=np.int64)
-    rank[walked] = np.arange(len(order) - 1, -1, -1)
-    if (rank < 0).any():
-        v = int(np.argmax(rank < 0))
-        return ValidityReport(False, None, f"vertex {v} not reached from the root")
+    walked = np.fromiter(order, dtype=np.int64, count=n + 1)
+    rank = np.empty(n + 1, dtype=np.int64)
+    rank[walked] = np.arange(n, -1, -1)
     if tree.dfn_valid:
         stale = np.asarray(tree.dfn, dtype=np.int64) != rank + 1
         if stale.any():
