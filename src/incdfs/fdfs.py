@@ -88,11 +88,17 @@ class FdfsState(IncrementalDfs):
         return self.dfn_index[dfn[x] : dfn[c] + 1], blocked
 
     def candidate_set(self, x, y):
-        """Eligible vertices for the pending anti-cross edge (x, y)."""
+        """Eligible vertices for the pending anti-cross edge (x, y): directed
+        and dag modes only, dfn(x) < dfn(y) and y no ancestor of x."""
         tree = self.tree
+        if not self.directed:
+            raise GraphError("candidate set defined only in directed and dag modes")
         if tree.dfn[x] >= tree.dfn[y]:
             raise GraphError("candidate set defined only for dfn(x) < dfn(y)")
-        block, blocked = self._interval(x, y, lca(tree, x, y))
+        w = lca(tree, x, y)
+        if w == y:
+            raise GraphError(f"({x},{y}) is a back edge: no candidate set")
+        block, blocked = self._interval(x, y, w)
         return set(block[1:]).difference(blocked)
 
     # -- rebuild ----------------------------------------------------------

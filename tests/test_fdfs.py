@@ -3,6 +3,7 @@ import pytest
 from incdfs.core import EdgeClass, GraphError, classify_edge, is_valid_dfs_tree
 from incdfs.fdfs import CycleError, FdfsState
 from incdfs.generators import gen_gnm, gen_worstcase_fdfs
+from incdfs.sdfs3 import Sdfs3State
 from oracles import DAG_CYCLE_CASES, ReferenceFdfs, ancestor_set, state_snapshot
 
 
@@ -108,6 +109,21 @@ class TestCandidateSet:
             for y in range(1, 8):
                 if x != y and t.dfn[x] < t.dfn[y]:
                     assert algo.candidate_set(x, y) == self.brute_dag(algo, x, y)
+
+    @pytest.mark.parametrize("mode", ["directed", "dag"])
+    def test_back_edge_is_rejected(self, mode):
+        # y an ancestor of x: the interval climb would pass the root
+        algo = FdfsState(4, mode=mode)
+        algo.insert(1, 2)
+        algo.insert(2, 3)
+        assert algo.tree.parent[1:4] == [0, 1, 2]
+        with pytest.raises(GraphError, match="back edge"):
+            algo.candidate_set(3, 1)
+
+    def test_undirected_sdfs3_is_rejected(self):
+        # undirected sdfs3 keeps no rank index
+        with pytest.raises(GraphError, match="directed and dag"):
+            Sdfs3State(4).candidate_set(2, 4)
 
     def test_directed_mode_contains_full_subtree(self):
         seq = gen_gnm(30, 120, seed=6, mode="directed")
