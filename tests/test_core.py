@@ -765,6 +765,25 @@ class TestDfnInvariants:
         for v in range(1, 31):
             assert t.dfn[t.parent[v]] > t.dfn[v]
 
+    @pytest.mark.parametrize("name", ["adfs1", "adfs2", "sdfs2", "sdfs3"])
+    def test_recompute_dfn_on_stale_tree(self, name):
+        # undirected maintainers leave dfn stale; recompute_dfn renumbers
+        # the final tree in place, as the recursive post-order does
+        seq = gen_gnm(150, 1500, seed=4)
+        algo = make_algorithm(name, seq.n, "undirected")
+        for u, v in seq.edges:
+            algo.insert(u, v)
+        tree = algo.tree
+        dfn = tree.dfn
+        ranks = postorder_ranks(tree)
+        expected = [ranks[v] for v in range(seq.n + 1)]
+        assert not tree.dfn_valid
+        assert dfn != expected
+        tree.recompute_dfn()
+        assert tree.dfn is dfn
+        assert tree.dfn_valid
+        assert dfn == expected
+
 
 class TestCounters:
     def test_monotone_and_bounded_below(self):

@@ -1,5 +1,6 @@
 import copy
 import math
+from collections import Counter
 
 import pytest
 
@@ -83,13 +84,27 @@ class TestStickHandling:
         assert grown
 
     def test_no_stored_edge_touches_stick(self):
-        seq = gen_gnm(100, 900, seed=3)
-        algo = Sdfs2State(100)
-        for u, v in seq.edges:
-            algo.insert(u, v)
-            for q in range(1, 101):
-                if algo.on_stick[q]:
-                    assert not algo.stored[q]
+        # after every insertion each stored edge sits once in its out-list
+        # and once in its in-list (undirected: the same lists, so once in
+        # each endpoint's list), is a graph edge but no tree edge, and has
+        # no endpoint on the stick
+        for mode, m in (("undirected", 900), ("directed", 2000)):
+            seq = gen_gnm(100, m, seed=3, mode=mode)
+            algo = Sdfs2State(100, directed=seq.directed)
+            for u, v in seq.edges:
+                algo.insert(u, v)
+                parent, on_stick = algo.tree.parent, algo.on_stick
+                stored, stored_in = algo.stored, algo._stored_in
+                out = Counter((a, b) for a in range(101) for b in stored[a])
+                into = Counter((a, b) for b in range(101) for a in stored_in[b])
+                assert out == into
+                assert set(out.values()) <= {1}
+                for a, b in out:
+                    assert algo.graph.has_edge(a, b)
+                    assert parent[b] != a
+                    assert seq.directed or parent[a] != b
+                    assert not (on_stick[a] or on_stick[b])
+            assert algo.stick and algo.discarded_edges > 0
 
     def test_prune_hook_sees_every_discard(self):
         seq = gen_gnm(60, 500, seed=21)
