@@ -197,6 +197,8 @@ class DfsTree:
     dfn maps vertex -> post-order rank in 1..n+1 (the pseudo root finishes
     last).  Undirected algorithms rebuild subtrees without renumbering, so
     dfn carries a validity flag; directed algorithms keep it exact.
+    preorder lists a subtree in mirrored preorder, the one walk that the
+    validity oracle, recompute_dfn and the sdfs2 bristle rebuild share.
     """
 
     __slots__ = ("n", "parent", "children", "depth", "dfn", "dfn_valid")
@@ -212,8 +214,26 @@ class DfsTree:
     def recompute_dfn(self):
         """Recompute post-order ranks from the current structure, in place
         (callers may hold the dfn list)."""
-        self.dfn[:] = _post_ranks(self.order_times()[1]).tolist()
+        dfn = self.dfn
+        for rank, v in enumerate(reversed(self.preorder()), 1):
+            dfn[v] = rank
         self.dfn_valid = True
+
+    def preorder(self, root: int = ROOT) -> list[int]:
+        """root's subtree in mirrored preorder: pop a vertex, list it, push
+        its children, so the last child's subtree comes first.  Read
+        backwards, the list is the subtree's post-order."""
+        order = []
+        visit = order.append
+        children = self.children
+        stack = [root]
+        pop = stack.pop
+        push = stack.extend
+        while stack:
+            v = pop()
+            visit(v)
+            push(children[v])
+        return order
 
     def order_times(self) -> tuple[np.ndarray, np.ndarray]:
         """Entry/exit times of a traversal in children order.
@@ -255,13 +275,6 @@ class DfsTree:
             for c in kids:
                 depth[c] = d
             stack.extend(kids)
-
-
-def _post_ranks(post: np.ndarray) -> np.ndarray:
-    """Post-order ranks 1..len(post) from the exit times post."""
-    ranks = np.empty(len(post), dtype=np.int64)
-    ranks[np.argsort(post)] = np.arange(1, len(post) + 1)
-    return ranks
 
 
 @dataclass(frozen=True)
@@ -492,12 +505,12 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
     unique).  All tree edges are present iff the number of matching graph
     edges equals the number of vertices with a real parent.
 
-    One walk that pops a vertex and pushes its children lists the tree in
-    mirrored preorder (last child first); reversed, that is the post-order,
-    so position gives each vertex its 0-based post-order rank.  The walk
-    lists every vertex once iff the children entries are a permutation of
-    1..n; when they are not, a walk that skips vertices already seen names
-    the first vertex not reached.  The preorder interval
+    DfsTree.preorder lists the tree in mirrored preorder (last child
+    first); reversed, that is the post-order, so position gives each
+    vertex its 0-based post-order rank.  The walk lists every vertex once
+    iff the children entries are a permutation of 1..n; when they are not,
+    a walk that skips vertices already seen names the first vertex not
+    reached.  The preorder interval
     [start, end] of a vertex v ends at end = rank + depth: in preorder, the
     last vertex of v's subtree comes after the depth proper ancestors of v
     and after the rank other vertices that finish no later than v.  With
@@ -562,15 +575,7 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
                 stack.extend(children[v])
         v = seen.index(0, 1)
         return ValidityReport(False, None, f"vertex {v} not reached from the root")
-    order = []
-    visit = order.append
-    stack = [ROOT]
-    pop = stack.pop
-    push = stack.extend
-    while stack:
-        v = pop()
-        visit(v)
-        push(children[v])
+    order = tree.preorder()
     # order is the mirrored preorder, so read backwards it is the post-order
     walked = np.fromiter(order, dtype=np.int64, count=n + 1)
     rank = np.empty(n + 1, dtype=np.int64)

@@ -5,12 +5,15 @@ last vertex before branching) and the bristles (the subtree hanging below
 the stick).  Non-tree edges touching the stick proper can never invalidate
 the tree again, so they are discarded on sight.  The remaining non-tree
 edges live entirely inside the bristles and are kept in a stored-edge
-structure.  A violating insertion (undirected: cross; directed:
-anti-cross) triggers the repair: core.restricted_dfs from the bristle root
-over the bristles, on the bristle-induced subgraph (tree edges, stored
-edges, the trigger).  The stick's tree edges are never touched; afterwards
-the stick view (base.StickState) grows and prunes the stored edges its
-growth swallowed.
+structure: stored[u] is the out-list of u and _stored_in[v] the in-list
+of v; undirected, where every edge leads both ways, they are the same
+lists, so an edge sits in both endpoints' lists.  A violating insertion
+(undirected: cross; directed: anti-cross) triggers the repair:
+core.restricted_dfs from the bristle root over the bristles, on the
+bristle-induced subgraph (tree edges, stored edges, the trigger).  The
+stick's tree edges are never touched; afterwards the stick view
+(base.StickState) grows and prunes the stored edges its growth
+swallowed.
 
 Every insertion charges one unit.  A rebuild reaches every bristle and
 scans every entry of the bristle-induced subgraph, so its charge is closed
@@ -29,37 +32,34 @@ from .core import ROOT, restricted_dfs, violates
 
 
 class Sdfs2State(StickState):
-    """The stick view of StickState, plus stored[u], the stored non-tree
-    edges out of u, and prune_hook."""
+    """The stick view of StickState, plus stored[u] and _stored_in[v],
+    the out- and in-lists of the stored non-tree edges (one and the same
+    lists when undirected), and prune_hook."""
 
     name = "sdfs2"
     supports_batch = False
 
     def __init__(self, n: int, directed: bool = False):
         super().__init__(n, directed=directed)
-        # stored non-tree edges, both endpoints in bristles; undirected
-        # lists are symmetric, directed ones are source-keyed with a
-        # companion in-list used only for pruning
+        # stored non-tree edges, both endpoints in bristles: out-lists,
+        # and in-lists used only for pruning
         self.stored = [[] for _ in range(n + 1)]
-        self._stored_in = [[] for _ in range(n + 1)] if directed else None
+        self._stored_in = [[] for _ in range(n + 1)] if directed else self.stored
         # called once per discarded edge; used by the streaming wrapper
         self.prune_hook = None
 
     # -- stick maintenance -------------------------------------------------
 
     def _prune(self, q):
-        for v in self.stored[q]:
+        stored, stored_in = self.stored, self._stored_in
+        for v in stored[q]:
             self._discard(q, v)
-            if self._stored_in is None:
-                self.stored[v].remove(q)
-            else:
-                self._stored_in[v].remove(q)
-        self.stored[q] = []
-        if self._stored_in is not None:
-            for u in self._stored_in[q]:
-                self._discard(u, q)
-                self.stored[u].remove(q)
-            self._stored_in[q] = []
+            stored_in[v].remove(q)
+        stored[q] = []  # undirected, this empties stored_in[q] too
+        for u in stored_in[q]:
+            self._discard(u, q)
+            stored[u].remove(q)
+        stored_in[q] = []
 
     def _discard(self, u, v):
         self.discarded_edges += 1
@@ -68,10 +68,7 @@ class Sdfs2State(StickState):
 
     def _store(self, u, v):
         self.stored[u].append(v)
-        if self._stored_in is None:
-            self.stored[v].append(u)
-        else:
-            self._stored_in[v].append(u)
+        self._stored_in[v].append(u)
 
     # -- insertion ---------------------------------------------------------
 
@@ -104,11 +101,8 @@ class Sdfs2State(StickState):
         old_edges = set()
         add = old_edges.add
         entries = 0
-        stack = [root]
-        while stack:
-            q = stack.pop()
+        for q in tree.preorder(root):
             kids = children[q]
-            stack.extend(kids)
             out = stored[q]
             entries += len(out)
             if directed or q == root:
@@ -118,17 +112,12 @@ class Sdfs2State(StickState):
             if q != ROOT:  # pseudo edges never enter the stored set
                 for c in kids:
                     add((q, c))
-            if directed:
-                for t in out:
+            for t in out:
+                if directed or q < t:  # an undirected edge is in two lists
                     add((q, t))
-            else:
-                for t in out:
-                    if q < t:
-                        add((q, t))
             children[q] = []
             stored[q] = []
-            if directed:
-                stored_in[q] = []
+            stored_in[q] = []
         adj[eu].append(ev)
         if not directed:
             adj[ev].append(eu)
@@ -149,14 +138,8 @@ class Sdfs2State(StickState):
 
         # everything that did not become a tree edge stays stored (subject
         # to the stick pruning that follows)
-        if directed:
-            for a, b in old_edges:
-                if parent[b] != a:
-                    stored[a].append(b)
-                    stored_in[b].append(a)
-        else:
-            for a, b in old_edges:
-                if parent[b] != a and parent[a] != b:
-                    stored[a].append(b)
-                    stored[b].append(a)
+        for a, b in old_edges:
+            if parent[b] != a and (directed or parent[a] != b):
+                stored[a].append(b)
+                stored_in[b].append(a)
         self._grow_stick()

@@ -57,39 +57,36 @@ class Sdfs3State(FdfsState):
 
     # -- undirected: rebuild the smaller side ------------------------------
 
-    def _subtree_walker(self, root):
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            stack.extend(self.tree.children[v])
-            yield v
-
     def _apply_undirected(self, x, y):
         tree = self.tree
         w = lca(tree, x, y)
         if w == x or w == y:
             return  # back edge: stored implicitly, the tree stands
+        parent, depth, children = tree.parent, tree.depth, tree.children
         r1 = x
-        while tree.parent[r1] != w:
-            r1 = tree.parent[r1]
+        while parent[r1] != w:
+            r1 = parent[r1]
         r2 = y
-        while tree.parent[r2] != w:
-            r2 = tree.parent[r2]
+        while parent[r2] != w:
+            r2 = parent[r2]
         # lock-step size probe: one vertex per side per step, metered as
         # vertex touches; the side that exhausts first is smaller, a tie
-        # goes to the subtree containing y
-        it1, it2 = self._subtree_walker(r1), self._subtree_walker(r2)
+        # goes to the subtree containing y.  Each side lists the vertices
+        # it reached and grows by their children, so the smaller side's
+        # list ends as its members.
+        side1, side2 = [r1], [r2]
+        i = 0
         while True:
-            if next(it2, None) is None:
-                root, entry, anchor = r2, y, x
+            if i == len(side2):
+                members, entry, anchor, touched = side2, y, x, 2 * i
                 break
-            self.counters.vertices_remarked += 1
-            if next(it1, None) is None:
-                root, entry, anchor = r1, x, y
+            side2.extend(children[side2[i]])
+            if i == len(side1):
+                members, entry, anchor, touched = side1, x, y, 2 * i + 1
                 break
-            self.counters.vertices_remarked += 1
-        members = list(self._subtree_walker(root))
-        parent, depth, children = tree.parent, tree.depth, tree.children
+            side1.extend(children[side1[i]])
+            i += 1
+        self.counters.vertices_remarked += touched
         adj = self.graph.out_adj
         fresh = bytearray(len(parent))
         for v in members:
@@ -104,7 +101,7 @@ class Sdfs3State(FdfsState):
             for t in out:
                 if fresh[t]:
                     twice_internal += 1
-        children[w].remove(root)
+        children[w].remove(members[0])
         parent[entry] = anchor
         depth[entry] = depth[anchor] + 1
         children[anchor].append(entry)

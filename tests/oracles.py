@@ -23,7 +23,6 @@ from incdfs.core import (
     Graph,
     GraphError,
     ValidityReport,
-    _post_ranks,
     lca,
     static_dfs,
 )
@@ -855,6 +854,13 @@ def reference_gen_worstcase_adfs1(n: int, m: int) -> UpdateSequence:
         provenance="worstcase-adfs1",
         meta=meta,
     )
+
+
+def _post_ranks(post: np.ndarray) -> np.ndarray:
+    """Post-order ranks 1..len(post) from the exit times post."""
+    ranks = np.empty(len(post), dtype=np.int64)
+    ranks[np.argsort(post)] = np.arange(1, len(post) + 1)
+    return ranks
 
 
 def reference_is_valid_dfs_tree(graph, tree) -> ValidityReport:

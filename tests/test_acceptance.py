@@ -451,7 +451,7 @@ def _twin_sdfs2(algo):
     twin.discarded_edges = algo.discarded_edges
     twin.bristle_root = algo.bristle_root
     twin.stored = [list(l) for l in algo.stored]
-    twin._stored_in = None
+    twin._stored_in = twin.stored
     twin.prune_hook = None
     _contract_stick(twin.tree, algo.stick)
     twin.on_stick = bytearray(algo.n + 1)
