@@ -89,10 +89,13 @@ class FdfsState(IncrementalDfs):
 
     def candidate_set(self, x, y):
         """Eligible vertices for the pending anti-cross edge (x, y): directed
-        and dag modes only, dfn(x) < dfn(y) and y no ancestor of x."""
+        and dag modes only, x and y in 1..n, dfn(x) < dfn(y) and y no
+        ancestor of x."""
         tree = self.tree
         if not self.directed:
             raise GraphError("candidate set defined only in directed and dag modes")
+        if not (1 <= x <= tree.n and 1 <= y <= tree.n):
+            raise GraphError(f"endpoint out of range in ({x},{y})")
         if tree.dfn[x] >= tree.dfn[y]:
             raise GraphError("candidate set defined only for dfn(x) < dfn(y)")
         w = lca(tree, x, y)

@@ -120,6 +120,15 @@ class TestCandidateSet:
         with pytest.raises(GraphError, match="back edge"):
             algo.candidate_set(3, 1)
 
+    @pytest.mark.parametrize("x,y", [(2, -1), (-4, 3), (1, 9)])
+    def test_out_of_range_ids_are_rejected(self, x, y):
+        # a negative id would alias a vertex counted from the end
+        algo = FdfsState(4, mode="directed")
+        algo.insert(1, 2)
+        algo.insert(3, 4)
+        with pytest.raises(GraphError, match="out of range"):
+            algo.candidate_set(x, y)
+
     def test_undirected_sdfs3_is_rejected(self):
         # undirected sdfs3 keeps no rank index
         with pytest.raises(GraphError, match="directed and dag"):
