@@ -117,7 +117,8 @@ class Sdfs2State(StickState):
                     add((q, t))
             children[q] = []
             stored[q] = []
-            stored_in[q] = []
+            if directed:  # undirected, stored_in[q] is stored[q]
+                stored_in[q] = []
         adj[eu].append(ev)
         if not directed:
             adj[ev].append(eu)
