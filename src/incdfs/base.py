@@ -60,8 +60,9 @@ class IncrementalDfs:
         """Insert a group of edges, restoring the invariant once at the end.
 
         If adding an edge raises, the edges of the batch already added are
-        removed again, last first, which restores the graph exactly, and
-        the exception propagates with the tree and the counters untouched.
+        taken back, last first (Graph.remove_edge), which restores the
+        graph exactly, and the exception propagates with the tree and the
+        counters untouched.
         """
         if not self.supports_batch:
             raise NotImplementedError(f"{self.name} has no batch mode")

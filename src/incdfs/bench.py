@@ -29,22 +29,19 @@ _CONSTRUCTORS = {
 ALGORITHM_NAMES = tuple(_CONSTRUCTORS)
 
 
-def make_algorithm(name: str, n: int, mode: str, adversarial_order: bool = False):
+def make_algorithm(name: str, n: int, mode: str):
     """Instantiate a maintainer for the given graph mode.
 
-    adversarial_order selects ADFS1's worst-case pool order; it applies to
-    adfs1 only."""
+    Only fdfs and sdfs3 enforce acyclicity in dag mode, raising
+    CycleError for an insertion that closes a cycle; sdfs, sdfs-int and
+    sdfs2 treat dag as directed and accept such an edge."""
     if mode not in ("undirected", "directed", "dag"):
         raise GraphError(f"unknown mode {mode!r}")
-    if adversarial_order and name != "adfs1":
-        raise GraphError(f"adversarial_order applies to adfs1 only, not {name!r}")
     cls = _CONSTRUCTORS.get(name)
     if cls is None:
         raise GraphError(f"unknown algorithm {name!r}")
     if issubclass(cls, FdfsState):
         return cls(n, mode)
-    if adversarial_order:
-        return cls(n, mode != "undirected", adversarial_order=True)
     return cls(n, mode != "undirected")
 
 

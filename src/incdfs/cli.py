@@ -11,6 +11,7 @@ import contextlib
 import math
 import sys
 
+from .adfs import ADFS1
 from .bench import (
     ALGORITHM_NAMES,
     ExperimentConfig,
@@ -107,7 +108,8 @@ def cmd_worstcase(args):
     with _output(args.out) as fh:
         seq = _FAMILIES[args.algo](args.n, args.m)
         mode = "dag" if seq.dag else ("directed" if seq.directed else "undirected")
-        algo = make_algorithm(args.algo, seq.n, mode, adversarial_order=args.algo == "adfs1")
+        algo = (ADFS1(seq.n, adversarial_order=True) if args.algo == "adfs1"
+                else make_algorithm(args.algo, seq.n, mode))
         write_csv(replay(algo, seq, sample_every=args.sample_every), fh)
     total = algo.counters.edges_processed
     print(

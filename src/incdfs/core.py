@@ -56,10 +56,11 @@ class Counters:
 class Graph:
     """Simple graph over vertices 0..n with pseudo edges 0-v for all v.
 
-    m counts real edges only.  A key dict answers has_edge, and the edge
-    endpoint arrays are kept as growing numpy buffers so the validity
-    oracle can classify all edges at once.  out_adj is built from the key
-    dict on its first read, still in insertion order, and kept current
+    m counts real edges only.  The graph only grows (remove_edge takes
+    back just the last edge added), so all of it keeps insertion order:
+    a dict of edge keys answers has_edge, growing numpy buffers of the
+    endpoints let the validity oracle classify all edges at once, and
+    out_adj is built from the keys on its first read and kept current
     from then on; a graph whose adjacency is never read never builds it.
     """
 
@@ -70,10 +71,9 @@ class Graph:
         self.directed = directed
         self.m = 0
         self._out_adj: list[list[int]] | None = None
-        self._eindex: dict[tuple[int, int], int] = {}
-        cap = 16
-        self._eu = np.empty(cap, dtype=np.int32)
-        self._ev = np.empty(cap, dtype=np.int32)
+        self._eindex: dict[tuple[int, int], None] = {}
+        self._eu = np.empty(16, dtype=np.int32)
+        self._ev = np.empty_like(self._eu)
 
     @property
     def out_adj(self) -> list[list[int]]:
@@ -85,8 +85,6 @@ class Graph:
             directed = self.directed
             adj = [[] if directed else [ROOT] for _ in range(n + 1)]
             adj[ROOT] = list(range(1, n + 1))
-            # the dict iterates in insertion order: remove_edge deletes a
-            # key and rewrites one value, but never re-inserts a key
             for u, v in self._eindex:
                 adj[u].append(v)
                 if not directed:
@@ -139,7 +137,7 @@ class Graph:
         if m == len(self._eu):
             self._eu = np.concatenate([self._eu, np.empty_like(self._eu)])
             self._ev = np.concatenate([self._ev, np.empty_like(self._ev)])
-        eindex[key] = m
+        eindex[key] = None
         self._eu[m] = u
         self._ev[m] = v
         self.m = m + 1
@@ -160,27 +158,20 @@ class Graph:
         return edge
 
     def remove_edge(self, u: int, v: int):
-        """Remove a real edge (used by stick pruning and defensive rejects).
-
-        The edge array is compacted by swapping the last edge into the hole,
-        so array order is storage order, not strict insertion order.
-        """
+        """Take back (u, v), which must be the last edge added: fdfs's
+        cycle rejection and insert_batch's rollback undo an insertion with
+        it.  Any other edge raises GraphError and changes nothing."""
         key = self._key(u, v)
-        pos = self._eindex.pop(key, None)
-        if pos is None:
-            raise GraphError(f"no such edge ({u},{v})")
-        last = self.m - 1
-        if pos != last:
-            lu, lv = int(self._eu[last]), int(self._ev[last])
-            self._eu[pos] = lu
-            self._ev[pos] = lv
-            self._eindex[self._key(lu, lv)] = pos
-        self.m = last
+        eindex = self._eindex
+        if not eindex or next(reversed(eindex)) != key:
+            raise GraphError(f"({u},{v}) is not the last edge added")
+        del eindex[key]
+        self.m -= 1
         adj = self._out_adj
         if adj is not None:
-            adj[u].remove(v)
+            adj[u].pop()
             if not self.directed:
-                adj[v].remove(u)
+                adj[v].pop()
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Views of the real-edge endpoint arrays (do not mutate)."""
@@ -316,7 +307,8 @@ def violates(tree: DfsTree, u: int, v: int, directed: bool) -> bool:
 
 
 def lca(tree: DfsTree, u: int, v: int) -> int:
-    """Lowest common ancestor by depth-aligned parent walk; lca(u,u)=u."""
+    """Lowest common ancestor by depth-aligned parent walk; lca(u,u)=u.
+    Unchecked, for the hot path: u and v must be ids in 0..n."""
     parent = tree.parent
     # align the depths with a counted loop: no depth read per step
     k = tree.depth[u] - tree.depth[v]
@@ -473,7 +465,10 @@ def classify_edge(tree: DfsTree, u: int, v: int, directed: bool) -> EdgeClass:
     ancestor of v) / cross when dfn(v) < dfn(u) / anti-cross otherwise.
     Undirected: ancestor relations collapse to back, the rest is cross.
     It never changes the tree: directed cross/anti-cross needs dfn_valid.
+    u and v must be distinct ids in 1..n, else GraphError.
     """
+    if not (1 <= u <= tree.n and 1 <= v <= tree.n):
+        raise GraphError(f"endpoint out of range in ({u},{v})")
     if u == v:
         raise GraphError("identical endpoints")
     if tree.parent[v] == u or (not directed and tree.parent[u] == v):

@@ -102,16 +102,19 @@ class StreamState:
     def stream_file(self, path):
         """Consume a dumped edge list line by line (no buffering).
 
-        The header "n m directed dag" must match this stream's n and
-        direction; it is checked before any edge is streamed.  A malformed
-        line or an endpoint outside 1..n raises GraphError naming the path
-        and the line number."""
+        The header "n m directed dag", whose flags are 0 or 1 (dag only
+        when directed), must match this stream's n and direction; it is
+        checked before any edge is streamed.  A malformed line or an
+        endpoint outside 1..n raises GraphError naming the path and the
+        line number."""
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().split()
             if not header:
                 raise GraphError(f"{path}: empty stream file")
             try:
-                n, _, directed, _ = map(int, header)
+                n, _, directed, dag = map(int, header)
+                if not {directed, dag} <= {0, 1} or dag > directed:
+                    raise ValueError
             except ValueError:
                 raise GraphError(f"{path}:1: malformed header {' '.join(header)!r}") from None
             if n != self.n or bool(directed) != self.directed:

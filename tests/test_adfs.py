@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incdfs.adfs import ADFS1, ADFS2
-from incdfs.core import EdgeClass, GraphError, classify_edge, is_valid_dfs_tree
+from incdfs.core import ROOT, EdgeClass, GraphError, classify_edge, is_valid_dfs_tree
 from incdfs.generators import gen_gnm, gen_worstcase_adfs1, gen_worstcase_sdfs3
 from oracles import ReferenceAdfs1, ReferenceAdfs2
 
@@ -249,3 +249,48 @@ def test_pool_matches_scanning_reference_on_small_graphs(case):
     n, edges, batch = case
     for order in POOL_ORDERS:
         _check_against_reference(order, n, edges, batch)
+
+
+# -- stored back edges -------------------------------------------------------
+
+
+def _check_stored_back_edges(algo):
+    """What ADFS stores once a call returns: every stored edge is a non-tree
+    graph edge, keyed on its endpoint that is a proper ancestor of the
+    other, and off the stick; the pool is empty; and stored, real tree and
+    discarded edges add up to graph.m, the identity that
+    StreamState.retained_edges relies on."""
+    graph, parent, on_stick = algo.graph, algo.tree.parent, algo.on_stick
+    assert not algo.pending
+    stored = 0
+    for key, edges in enumerate(algo._back):
+        for a, b in edges:
+            assert graph.has_edge(a, b)
+            assert parent[a] != b and parent[b] != a
+            assert key in (a, b)
+            x = parent[b if key == a else a]
+            while x != key and x != ROOT:
+                x = parent[x]
+            assert x == key
+            assert not on_stick[a] and not on_stick[b]
+        stored += len(edges)
+    tree_edges = sum(p != ROOT for p in parent[1:])
+    assert stored + tree_edges + algo.discarded_edges == graph.m
+
+
+@pytest.mark.parametrize("order", sorted(POOL_ORDERS))
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("batch", [0, 50])
+def test_stored_back_edges(order, seed, batch):
+    make, _ = POOL_ORDERS[order]
+    edges = gen_gnm(100, 900, seed=seed).edges
+    algo = make(100)
+    if batch:
+        for i in range(0, len(edges), batch):
+            algo.insert_batch(edges[i : i + batch])
+            _check_stored_back_edges(algo)
+    else:
+        for u, v in edges:
+            algo.insert(u, v)
+            _check_stored_back_edges(algo)
+    assert algo.stick and any(algo._back)

@@ -15,7 +15,14 @@ from incdfs.bench import (
     run_experiment,
     write_csv,
 )
-from incdfs.core import EdgeClass, Graph, GraphError, classify_edge, static_dfs
+from incdfs.core import (
+    EdgeClass,
+    Graph,
+    GraphError,
+    classify_edge,
+    is_valid_dfs_tree,
+    static_dfs,
+)
 from incdfs.generators import gen_gnm
 
 
@@ -184,6 +191,16 @@ class TestReplayAndCsv:
             make_algorithm("fdfs", 10, "undirected")
         with pytest.raises(GraphError):
             make_algorithm("nope", 10, "undirected")
+
+    @pytest.mark.parametrize("name", ["sdfs", "sdfs-int", "sdfs2"])
+    def test_dag_mode_treated_as_directed(self, name):
+        # only fdfs and sdfs3 reject a cycle-closing edge in dag mode; these
+        # three take it in and keep a valid tree
+        algo = make_algorithm(name, 3, "dag")
+        for u, v in [(1, 2), (2, 3), (3, 1)]:
+            assert algo.insert(u, v)
+            assert is_valid_dfs_tree(algo.graph, algo.tree).ok
+        assert algo.directed and algo.graph.m == 3
 
     def test_adfs_twins_within_ten_percent(self):
         seq = gen_gnm(200, 2000, seed=9)

@@ -5,9 +5,8 @@ import pytest
 
 from incdfs import cli
 from incdfs.adfs import ADFS1, ADFS2
-from incdfs.bench import make_algorithm, read_csv, replay
+from incdfs.bench import read_csv, replay
 from incdfs.cli import main
-from incdfs.core import GraphError
 from incdfs.generators import gen_worstcase_adfs1
 
 
@@ -80,8 +79,8 @@ class TestWorstcaseCommand:
         assert "worstcase-" in err and "total=" in err
 
     def test_adfs1_built_as_by_the_factory(self, capsys, monkeypatch):
-        # the CLI asks make_algorithm for the adversarial pool order; it
-        # does not set the attribute after construction
+        # the CLI builds ADFS1 with the adversarial pool order, as the
+        # harness and the demos do; it does not set the attribute later
         import incdfs.cli as cli
 
         built = []
@@ -96,7 +95,7 @@ class TestWorstcaseCommand:
         assert code == 0
         (algo,) = built
         seq = gen_worstcase_adfs1(64, 256)
-        twin = make_algorithm("adfs1", seq.n, "undirected", adversarial_order=True)
+        twin = ADFS1(seq.n, adversarial_order=True)
         replay(twin, seq, sample_every=1000)
         assert type(algo) is type(twin) is ADFS1
         assert algo.adversarial_order is twin.adversarial_order is True
@@ -104,8 +103,6 @@ class TestWorstcaseCommand:
         assert algo.tree.parent == twin.tree.parent
 
     def test_adversarial_order_is_adfs1_only(self):
-        with pytest.raises(GraphError):
-            make_algorithm("adfs2", 8, "undirected", adversarial_order=True)
         with pytest.raises(TypeError):
             ADFS2(8, adversarial_order=True)
 

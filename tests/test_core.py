@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 
@@ -73,17 +74,45 @@ class TestGraph:
         assert g.m == 1
 
     def test_remove_edge_keeps_arrays_consistent(self):
+        # takebacks of the last edge leave the rest in insertion order
         g = Graph(5)
-        for e in [(1, 2), (2, 3), (3, 4), (4, 5)]:
+        for e in [(1, 2), (3, 2), (3, 4), (5, 4)]:
             g.add_edge(*e)
-        g.remove_edge(2, 3)
+        g.remove_edge(4, 5)  # an undirected edge in either orientation
+        g.remove_edge(3, 4)
+        g.add_edge(2, 5)
         assert g.m == 3
-        assert not g.has_edge(2, 3)
-        assert sorted(map(tuple, map(sorted, g.real_edges()))) == [
-            (1, 2),
-            (3, 4),
-            (4, 5),
-        ]
+        assert not g.has_edge(3, 4) and not g.has_edge(4, 5)
+        assert g.real_edges() == [(1, 2), (3, 2), (2, 5)]
+        assert g.out_adj[2] == [ROOT, 1, 3, 5] and g.out_adj[4] == [ROOT]
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("built", [False, True])
+    def test_remove_edge_refuses_all_but_the_last(self, directed, built):
+        g = Graph(4, directed=directed)
+        with pytest.raises(GraphError, match="not the last edge added"):
+            g.remove_edge(1, 2)  # nothing to take back
+        for e in [(1, 2), (2, 3), (3, 4)]:
+            g.add_edge(*e)
+        if built:
+            g.out_adj
+
+        def state():
+            eu, ev = g.edge_arrays()
+            return (g.m, [g.has_edge(u, v) for u in range(5) for v in range(5)],
+                    eu.tolist(), ev.tolist(), copy.deepcopy(g._out_adj))
+
+        before = state()
+        others = [(1, 2), (2, 3), (2, 1), (1, 4)] + ([(4, 3)] if directed else [])
+        for u, v in others:
+            with pytest.raises(GraphError, match="not the last edge added"):
+                g.remove_edge(u, v)
+            assert state() == before
+        g.remove_edge(3, 4)
+        assert g.m == 2 and not g.has_edge(3, 4)
+        assert g.real_edges() == [(1, 2), (2, 3)]
+        assert g.out_adj[4] == ([] if directed else [ROOT])
+        assert g.out_adj[3] == ([] if directed else [ROOT, 2])
 
     def test_non_integer_endpoint_changes_nothing(self):
         algo = ADFS2(5)
@@ -106,24 +135,26 @@ class TestGraph:
     @pytest.mark.parametrize("seed", range(6))
     def test_out_adj_first_read_late_matches_eager(self, directed, seed):
         # a graph whose adjacency is first read after random adds and
-        # removes has the lists of one read at construction (kept current
-        # from then on) and of a plain model, list for list.  Seeds 0-2
-        # remove an edge before the first read, which reorders the
-        # endpoint arrays but not the adjacency
+        # takebacks of the last edge has the lists of one read at
+        # construction (kept current from then on) and of a plain model,
+        # list for list, and both list their edges in insertion order.
+        # Seeds 0-2 take an edge back before the first read
         rng = random.Random(seed)
         n = 10
         eager = Graph(n, directed=directed)
         eager.out_adj
         lazy = Graph(n, directed=directed)
         model = [list(range(1, n + 1))] + [[] if directed else [ROOT] for _ in range(n)]
+        added = []
         first_remove = seed < 3
         read_at = rng.randrange(20, 120)
         for i in range(160):
             u, v = rng.randint(1, n), rng.randint(1, n)
-            if lazy.has_edge(u, v) and (first_remove or rng.random() < 0.3):
+            if added and (first_remove or rng.random() < 0.2):
                 if first_remove:
                     assert lazy._out_adj is None
                     first_remove = False
+                u, v = added.pop()
                 eager.remove_edge(u, v)
                 lazy.remove_edge(u, v)
                 model[u].remove(v)
@@ -131,13 +162,15 @@ class TestGraph:
                     model[v].remove(u)
             elif eager.add_new_edge(u, v) is not None:
                 assert lazy.add_new_edge(u, v) == (u, v)
+                added.append((u, v))
                 model[u].append(v)
                 if not directed:
                     model[v].append(u)
             if i == read_at:
                 lazy.out_adj
         assert not first_remove
-        assert lazy.m == eager.m > 0
+        assert lazy.m == eager.m == len(added) > 0
+        assert lazy.real_edges() == eager.real_edges() == added
         assert lazy.out_adj == eager.out_adj == model
 
 
@@ -394,9 +427,10 @@ class TestStaticDfs:
     def test_matches_reference(self, n, density, removed, directed, interrupt, seed):
         pairs = n * (n - 1) // (1 if directed else 2)
         g = random_graph(n, round(density * pairs), seed, directed=directed)
-        # the closed-form charge must also hold after Graph.remove_edge
-        rng = random.Random(seed)
-        for u, v in rng.sample(g.real_edges(), round(removed * g.m)):
+        # the closed-form charge must also hold after Graph.remove_edge,
+        # which takes edges back from the end (and pops the built lists)
+        g.out_adj
+        for u, v in g.real_edges()[::-1][: round(removed * g.m)]:
             g.remove_edge(u, v)
         ref, charge = reference_static_dfs(g, interrupt=interrupt)
         c = Counters()
@@ -440,6 +474,15 @@ class TestClassifyEdge:
         t = tree_from_parents(2, {1: ROOT, 2: ROOT})
         with pytest.raises(GraphError):
             classify_edge(t, 1, 1, directed=False)
+
+    @pytest.mark.parametrize("u,v", [(-1, 2), (2, -1), (0, 2), (1, 9), (6, 1)])
+    def test_out_of_range_ids_rejected(self, u, v):
+        # -1 would index vertex 5 and 9 would raise IndexError: any id
+        # outside 1..n raises GraphError before the tree is read
+        t = tree_from_parents(5, {1: ROOT, 2: 1, 3: 1, 4: ROOT, 5: 4})
+        for directed in (False, True):
+            with pytest.raises(GraphError, match="out of range"):
+                classify_edge(t, u, v, directed)
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_agrees_with_bruteforce_on_random_graphs(self, directed):
@@ -613,16 +656,18 @@ _CORRUPTIONS = ("none", "parent", "depth", "child", "child-order", "dfn",
 
 
 def _corrupt(graph, tree, kind, rng):
-    """Apply one corruption of the given kind in place.  Returns the reason
-    the oracle must give when the corruption writes an id outside the tree
-    (the reference oracle crashes or aliases there), else None."""
+    """Apply one corruption of the given kind, to the tree in place.
+    Returns the graph to check, a new one without one edge for graph-edge,
+    and the reason the oracle must give when the corruption writes an id
+    outside the tree (the reference oracle crashes or aliases there), else
+    None."""
     n = tree.n
     parent, children = tree.parent, tree.children
     if kind == "parent":
         v, p = rng.randint(0, n), rng.randint(-3, n + 3)
         parent[v] = p
         if v and p > n:
-            return f"vertex {v} detached"
+            return graph, f"vertex {v} detached"
     elif kind == "depth":
         tree.depth[rng.randint(0, n)] = rng.randint(-2, n + 2)
     elif kind == "child":
@@ -636,7 +681,7 @@ def _corrupt(graph, tree, kind, rng):
         else:
             kids[rng.randrange(len(kids))] = c
             if not 0 <= c <= n:
-                return f"children list broken at {v}"
+                return graph, f"children list broken at {v}"
     elif kind == "child-order":
         rng.shuffle(children[rng.randint(0, n)])
     elif kind == "dfn":
@@ -645,7 +690,13 @@ def _corrupt(graph, tree, kind, rng):
         tree.dfn[rng.randint(0, n)] = rng.randint(0, n + 2)
     elif kind == "graph-edge":
         if graph.m:
-            graph.remove_edge(*rng.choice(graph.real_edges()))
+            # any edge, not just the last: build the graph anew without it
+            edges = graph.real_edges()
+            dropped = rng.choice(edges)
+            graph = Graph(n, directed=graph.directed)
+            for e in edges:
+                if e != dropped:
+                    graph.add_edge(*e)
     elif kind == "move-subtree":
         # re-hang v under a vertex outside its subtree, keeping parent,
         # children and depth consistent
@@ -664,7 +715,7 @@ def _corrupt(graph, tree, kind, rng):
             graph.add_new_edge(p, v)
         if tree.dfn_valid and rng.random() < 0.5:
             tree.recompute_dfn()
-    return None
+    return graph, None
 
 
 class TestOracleDifferential:
@@ -681,8 +732,8 @@ class TestOracleDifferential:
         algo = make_algorithm(name, n, mode)
         for u, v in gen_gnm(n, int(density * pairs), seed=seed, mode=mode).edges:
             algo.insert(u, v)
-        graph, tree = algo.graph, algo.tree
-        out_of_range = _corrupt(graph, tree, kind, random.Random(salt))
+        tree = algo.tree
+        graph, out_of_range = _corrupt(algo.graph, tree, kind, random.Random(salt))
         rep = is_valid_dfs_tree(graph, tree)
         if out_of_range is not None:
             assert not rep.ok and rep.reason == out_of_range

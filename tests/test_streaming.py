@@ -190,6 +190,10 @@ class TestStreamFile:
         ("4 2 1 1", 4, False),  # dag file into an undirected stream
         ("4 2 1", 4, True),     # short header
         ("4 2 x 0", 4, True),   # non-integer header field
+        ("4 2 2 0", 4, True),   # flags other than 0 or 1, which
+        ("4 2 -1 0", 4, True),  # dump_sequence never writes
+        ("4 2 1 2", 4, True),
+        ("4 2 0 1", 4, False),  # a dag that is not directed
     ])
     def test_header_checked_before_streaming(self, tmp_path, header, n, directed):
         path = self._dump(tmp_path, f"{header}\n1 2 0\n2 3 1\n")
