@@ -30,7 +30,7 @@ from __future__ import annotations
 from heapq import heapify, heappop
 
 from .base import StickState
-from .core import ROOT, GraphError, lca
+from .core import ROOT, GraphError, lca, path_below
 
 
 class AdfsState(StickState):
@@ -51,9 +51,7 @@ class AdfsState(StickState):
         from (x, y), reversing the tree path from y to that child."""
         tree = self.tree
         parent, children = tree.parent, tree.children
-        path = [y]
-        while parent[path[-1]] != w:
-            path.append(parent[path[-1]])
+        path = path_below(tree, y, w)
         v = path[-1]
         # displaced candidates: every stored edge keyed on a path vertex
         for q in path:
@@ -67,13 +65,14 @@ class AdfsState(StickState):
         # an ancestor of v)
         if w != ROOT:
             self._back[w].append((w, v))
-        for i in range(len(path) - 1):
-            children[path[i + 1]].remove(path[i])
         children[x].append(y)
         parent[y] = x
-        for i in range(len(path) - 1):
-            parent[path[i + 1]] = path[i]
-            children[path[i]].append(path[i + 1])
+        # each children list loses its old path entry before it gains the
+        # new one
+        for c, p in zip(path, path[1:]):
+            children[p].remove(c)
+            parent[p] = c
+            children[c].append(p)
         tree.refresh_depths(y)  # uncharged bookkeeping
         tree.dfn_valid = False
         self.counters.rebuilds += 1
@@ -108,15 +107,14 @@ class AdfsState(StickState):
     # -- driver ------------------------------------------------------------
 
     def _settle(self, u, v):
-        """Charge (u, v), then drop it (stick endpoint) or store it (back
-        edge, keyed on the ancestor); return lca(u, v) for a cross edge.
+        """Charge (u, v), then store it (back edge, keyed on the ancestor);
+        return lca(u, v) for a cross edge.
 
-        The stick marks may lag behind a re-hang until the pool drains,
-        but a marked vertex stays on the stick, so it is safe to use."""
+        The callers drop an edge with a stick endpoint first, and none is
+        left in the pool: a stored edge's ancestor end joins the stick no
+        later than its other end, and _prune then drops it, while the
+        marks do not move during a drain."""
         self.counters.edges_processed += 1
-        if self.on_stick[u] or self.on_stick[v]:
-            self.discarded_edges += 1
-            return None
         w = lca(self.tree, u, v)
         if w == u or w == v:
             self._back[w].append((u, v))
@@ -133,8 +131,8 @@ class AdfsState(StickState):
         return True
 
     def _apply(self, u, v):
-        # a stick-endpoint edge is dropped here, as _settle would, without
-        # its frames: on random graphs most insertions end here
+        # a stick-endpoint edge is charged and dropped here, before
+        # _process: on random graphs most insertions end here
         if self.on_stick[u] or self.on_stick[v]:
             self.counters.edges_processed += 1
             self.discarded_edges += 1
@@ -146,7 +144,10 @@ class AdfsState(StickState):
 
     def _apply_batch(self, edges):
         for u, v in edges:
-            if self._settle(u, v) is not None:
+            if self.on_stick[u] or self.on_stick[v]:  # dropped as in _apply
+                self.counters.edges_processed += 1
+                self.discarded_edges += 1
+            elif self._settle(u, v) is not None:
                 self.pending.append((u, v))
         self._drain()
         self._grow_stick()

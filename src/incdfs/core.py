@@ -285,30 +285,20 @@ class ValidityReport:
         return self.ok
 
 
-def is_ancestor(tree: DfsTree, a: int, v: int) -> bool:
-    """True iff a is an ancestor of v (a == v counts), by parent walk."""
-    parent = tree.parent
-    k = tree.depth[v] - tree.depth[a]
-    if k < 0:
-        return False
-    for _ in range(k):
-        v = parent[v]
-    return v == a
-
-
 def violates(tree: DfsTree, u: int, v: int, directed: bool) -> bool:
-    """True iff the new edge (u, v) is cross (undirected: u and v not
-    ancestor-related) or anti-cross (directed: dfn(v) > dfn(u) and v no
-    ancestor of u; dfn must be exact), i.e. it invalidates the tree."""
+    """True iff the new edge (u, v) is cross (undirected: its lca is
+    neither endpoint) or anti-cross (directed: dfn(v) > dfn(u) and
+    lca(u, v) != v; dfn must be exact), i.e. it invalidates the tree."""
     if directed:
-        return tree.dfn[v] > tree.dfn[u] and not is_ancestor(tree, v, u)
-    a, s = (v, u) if tree.depth[u] > tree.depth[v] else (u, v)
-    return not is_ancestor(tree, a, s)
+        return tree.dfn[v] > tree.dfn[u] and lca(tree, u, v) != v
+    w = lca(tree, u, v)
+    return w != u and w != v
 
 
 def lca(tree: DfsTree, u: int, v: int) -> int:
     """Lowest common ancestor by depth-aligned parent walk; lca(u,u)=u.
-    Unchecked, for the hot path: u and v must be ids in 0..n."""
+    Unchecked, for the hot path: u and v must be ids in 0..n.  For
+    ancestor-related u and v the walk stops once the depths align."""
     parent = tree.parent
     # align the depths with a counted loop: no depth read per step
     k = tree.depth[u] - tree.depth[v]
@@ -322,6 +312,17 @@ def lca(tree: DfsTree, u: int, v: int) -> int:
         u = parent[u]
         v = parent[v]
     return u
+
+
+def path_below(tree: DfsTree, v: int, w: int) -> list[int]:
+    """The tree path from v up to the child of w, v first.  Unchecked, for
+    the hot path: w must be a proper ancestor of v."""
+    parent = tree.parent
+    path = [v]
+    while parent[v] != w:
+        v = parent[v]
+        path.append(v)
+    return path
 
 
 def static_dfs(
@@ -475,9 +476,10 @@ def classify_edge(tree: DfsTree, u: int, v: int, directed: bool) -> EdgeClass:
         return EdgeClass.TREE
     if directed and tree.parent[u] == v:
         return EdgeClass.BACK
-    if is_ancestor(tree, v, u):
+    w = lca(tree, u, v)
+    if w == v:
         return EdgeClass.BACK
-    if is_ancestor(tree, u, v):
+    if w == u:
         return EdgeClass.FORWARD if directed else EdgeClass.BACK
     if not directed:
         return EdgeClass.CROSS

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .base import IncrementalDfs
-from .core import GraphError, lca, restricted_dfs
+from .core import GraphError, lca, path_below, restricted_dfs
 
 
 class CycleError(GraphError):
@@ -75,17 +75,10 @@ class FdfsState(IncrementalDfs):
     def _interval(self, x, y, w):
         """The block dfn_index[dfn(x) : hi + 1], x first, and the blocked
         ancestors in rank order (all inside the block)."""
-        parent, dfn = self.tree.parent, self.tree.dfn
-        c = y
-        if self.mode == "directed":
-            while parent[c] != w:
-                c = parent[c]
-        blocked = []
-        a = parent[x]
-        while a != w:
-            blocked.append(a)
-            a = parent[a]
-        return self.dfn_index[dfn[x] : dfn[c] + 1], blocked
+        tree = self.tree
+        c = path_below(tree, y, w)[-1] if self.mode == "directed" else y
+        blocked = path_below(tree, x, w)[1:]
+        return self.dfn_index[tree.dfn[x] : tree.dfn[c] + 1], blocked
 
     def candidate_set(self, x, y):
         """Eligible vertices for the pending anti-cross edge (x, y): directed

@@ -54,9 +54,16 @@ def _edge_universe(n: int, mode: str, rng=None):
     raise GeneratorError(f"unknown mode {mode!r}")
 
 
+def _rng(n: int, seed: int):
+    """The PCG64 stream of a random sequence on n >= 1 vertices, seed >= 0."""
+    if n < 1 or seed < 0:
+        raise GeneratorError(f"need n >= 1 and seed >= 0 (got n={n}, seed={seed})")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def gen_gnm(n: int, m: int, seed: int, mode: str = "undirected") -> UpdateSequence:
     """First m edges of a uniformly random permutation of the edge universe."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(n, seed)
     eu, ev, order = _edge_universe(n, mode, rng)
     if not (0 <= m <= len(eu)):
         raise GeneratorError(f"m={m} out of range [0, {len(eu)}] for mode {mode}")
@@ -76,7 +83,7 @@ def gen_gnp(n: int, p: float, seed: int) -> UpdateSequence:
     """Independent Bernoulli(p) per unordered pair, emitted in random order."""
     if not (0.0 <= p <= 1.0):
         raise GeneratorError(f"invalid probability {p}")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = _rng(n, seed)
     eu, ev, _ = _edge_universe(n, "undirected")
     keep = rng.random(len(eu)) < p
     eu, ev = eu[keep], ev[keep]
@@ -411,7 +418,7 @@ def load_dataset(path, directed: bool = False) -> UpdateSequence:
                 t = float(parts[2]) if len(parts) == 3 else None
             except ValueError as exc:
                 raise GeneratorError(f"{path}:{lineno}: {exc}") from None
-            if (t is not None) != (have_ts if have_ts is not None else t is not None):
+            if have_ts is not None and (t is not None) != have_ts:
                 raise GeneratorError(f"{path}:{lineno}: inconsistent timestamp columns")
             have_ts = t is not None
             if u == v:

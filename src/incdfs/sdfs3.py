@@ -36,7 +36,7 @@ Theta(m^2) in the worst case.
 """
 from __future__ import annotations
 
-from .core import lca, restricted_dfs
+from .core import lca, path_below, restricted_dfs
 from .fdfs import FdfsState
 
 
@@ -63,12 +63,7 @@ class Sdfs3State(FdfsState):
         if w == x or w == y:
             return  # back edge: stored implicitly, the tree stands
         parent, depth, children = tree.parent, tree.depth, tree.children
-        r1 = x
-        while parent[r1] != w:
-            r1 = parent[r1]
-        r2 = y
-        while parent[r2] != w:
-            r2 = parent[r2]
+        r1, r2 = path_below(tree, x, w)[-1], path_below(tree, y, w)[-1]
         # lock-step size probe: one vertex per side per step, metered as
         # vertex touches; the side that exhausts first is smaller, a tie
         # goes to the subtree containing y.  Each side lists the vertices

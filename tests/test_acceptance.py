@@ -495,3 +495,33 @@ def test_criterion_13_bristle_only_twin_equality():
     assert total > 1000, f"too few bristle-internal insertions compared: {total}"
     print(f"criterion 13: PASS ({total} bristle-internal insertions scanned "
           f"identically on full and stick-contracted states)")
+
+
+# -- criterion 14: the paper's result 2 in this repo's charge models -------
+
+
+def test_criterion_14_sdfs2_against_adfs2_at_full_density():
+    # adfs2 charges one unit per settled edge (each insertion and each pool
+    # pop); sdfs2 one per insertion plus, per bristle rebuild, every edge
+    # among the bristles.  Past m0 = 4 n ln n the two charge about the same
+    # per insertion; sdfs2's sparse phase makes its total larger.
+    n = 256
+    m0 = math.ceil(4 * n * math.log(n))
+    assert m0 == 5679
+    for seed in (0, 1):
+        edges = gen_gnm(n, _full_m(n, "undirected"), seed=seed).edges
+        total, tail = {}, {}
+        for name in ("adfs2", "sdfs2"):
+            algo = _run(make_algorithm(name, n, "undirected"), edges[:m0])
+            at_m0 = algo.counters.edges_processed
+            total[name] = _run(algo, edges[m0:]).counters.edges_processed
+            tail[name] = (total[name] - at_m0) / (len(edges) - m0)
+        assert total["adfs2"] <= n * n, f"adfs2 total {total['adfs2']} > n^2 (seed={seed})"
+        assert total["sdfs2"] <= 4 * n * n, f"sdfs2 total {total['sdfs2']} > 4 n^2 (seed={seed})"
+        ratio = tail["sdfs2"] / tail["adfs2"]
+        assert ratio <= 1.25, f"sdfs2/adfs2 per insertion past m0 = {ratio:.3f} (seed={seed})"
+        print(
+            f"criterion 14: PASS (seed {seed}: totals/n^2 adfs2="
+            f"{total['adfs2'] / n**2:.3f} sdfs2={total['sdfs2'] / n**2:.3f}; "
+            f"per insertion past m0 sdfs2/adfs2={ratio:.3f})"
+        )

@@ -158,6 +158,9 @@ class TestBadParameters:
         ("validate", "--n", "5", "--m", "11"),
         ("broomstick", "--algo", "adfs1", "--mode", "directed", "--n", "8", "--m", "10"),
         ("bench", "--algo", "fdfs", "--n", "8", "--m", "10"),
+        ("bench", "--seed", "-1"),
+        ("bench", "--n", "-5", "--m", "0", "--mode", "directed"),
+        ("stream", "--n", "0", "--m", "0"),
     ])
     def test_one_line_and_exit_code_2(self, capsys, argv):
         # GraphError and GeneratorError become one stderr line, no traceback

@@ -20,9 +20,11 @@ from incdfs.core import (
     classify_edge,
     is_valid_dfs_tree,
     lca,
+    path_below,
     restricted_dfs,
     static_dfs,
     stick_profile,
+    violates,
 )
 from incdfs.generators import gen_gnm
 from incdfs.streaming import StreamState
@@ -769,6 +771,51 @@ class TestLca:
             for _ in range(50):
                 u, v = rng.randrange(1, 41), rng.randrange(1, 41)
                 assert lca(t, u, v) == brute_lca(t, u, v)
+
+
+def _violation_mismatches(test, directed):
+    """The (seed, u, v) for which test(tree, u, v, directed) disagrees with
+    brute_classify on static_dfs trees of random graphs: an edge violates
+    the tree iff it is CROSS (undirected) or ANTI_CROSS (directed)."""
+    bad = EdgeClass.ANTI_CROSS if directed else EdgeClass.CROSS
+    n = 24
+    mismatches = []
+    for seed in range(8):
+        m = (10, 30, 80, 200)[seed % 4]
+        t = static_dfs(random_graph(n, m, seed, directed=directed))
+        for u in range(1, n + 1):
+            for v in range(1, n + 1):
+                if u != v and test(t, u, v, directed) != (
+                    brute_classify(t, u, v, directed) is bad
+                ):
+                    mismatches.append((seed, u, v))
+    return mismatches
+
+
+class TestViolates:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_brute_classify(self, directed):
+        assert _violation_mismatches(violates, directed) == []
+
+    def test_catches_a_one_sided_undirected_test(self):
+        # a mutant that misses v being an ancestor of u
+        def mutant(tree, u, v, directed):
+            return lca(tree, u, v) != u
+
+        assert _violation_mismatches(mutant, directed=False)
+
+
+class TestPathBelow:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_the_parent_chain(self, directed):
+        for seed in range(6):
+            t = static_dfs(random_graph(30, (20, 60, 300)[seed % 3], seed, directed))
+            for v in range(1, 31):
+                chain = [v]  # v, its parent, ..., ROOT
+                while chain[-1] != ROOT:
+                    chain.append(t.parent[chain[-1]])
+                for i, w in enumerate(chain[1:], start=1):
+                    assert path_below(t, v, w) == chain[:i]
 
 
 class TestStickProfile:

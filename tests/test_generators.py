@@ -80,6 +80,14 @@ class TestGnm:
         with pytest.raises(GeneratorError):
             gen_gnm(10, 46, seed=0)
 
+    @pytest.mark.parametrize("n, m, seed, mode", [
+        (-3, 0, 0, "undirected"), (0, 0, 0, "undirected"),
+        (-5, 0, 0, "directed"), (0, 0, 0, "dag"), (5, 3, -1, "undirected"),
+    ])
+    def test_bad_n_or_seed(self, n, m, seed, mode):
+        with pytest.raises(GeneratorError, match="need n >= 1 and seed >= 0"):
+            gen_gnm(n, m, seed=seed, mode=mode)
+
     def test_uniform_ish_coverage(self):
         # every edge of a small universe appears across enough seeds
         hits = set()
@@ -112,6 +120,11 @@ class TestGnp:
     def test_invalid_probability(self):
         with pytest.raises(GeneratorError):
             gen_gnp(10, 1.5, seed=0)
+
+    @pytest.mark.parametrize("n, seed", [(-3, 0), (0, 0), (5, -1)])
+    def test_bad_n_or_seed(self, n, seed):
+        with pytest.raises(GeneratorError, match="need n >= 1 and seed >= 0"):
+            gen_gnp(n, 0.5, seed=seed)
 
 
 class TestWorstcaseFdfs:
@@ -330,10 +343,13 @@ class TestDataset:
             load_dataset(p)
 
     def test_mixed_timestamp_columns_rejected(self, tmp_path):
+        # either column count first: the first line that differs is named
         p = tmp_path / "ds.txt"
-        p.write_text("1 2 4\n2 3\n")
-        with pytest.raises(GeneratorError):
-            load_dataset(p)
+        for text in ("1 2 4\n# note\n2 3\n", "1 2\n# note\n2 3 4\n"):
+            p.write_text(text)
+            with pytest.raises(GeneratorError) as err:
+                load_dataset(p)
+            assert str(err.value) == f"{p}:3: inconsistent timestamp columns"
 
     def test_directed_keeps_antiparallel_pairs(self, tmp_path):
         p = tmp_path / "ds.txt"
