@@ -31,7 +31,7 @@ class IncrementalDfs:
     def __init__(self, n: int, directed: bool = False):
         self.graph = Graph(n, directed=directed)
         self.counters = Counters()
-        self.tree = star_tree(n)
+        self.tree = star_tree(self.graph.n)
 
     @property
     def n(self):

@@ -65,6 +65,10 @@ class Graph:
     """
 
     def __init__(self, n: int, directed: bool = False):
+        try:
+            n = index(n)
+        except TypeError:
+            raise GraphError(f"non-integer vertex count {n!r}") from None
         if n < 1:
             raise GraphError("need at least one real vertex")
         self.n = n
@@ -188,8 +192,9 @@ class DfsTree:
     dfn maps vertex -> post-order rank in 1..n+1 (the pseudo root finishes
     last).  Undirected algorithms rebuild subtrees without renumbering, so
     dfn carries a validity flag; directed algorithms keep it exact.
-    preorder lists a subtree in mirrored preorder, the one walk that the
-    validity oracle, recompute_dfn and the sdfs2 bristle rebuild share.
+    preorder lists a subtree in mirrored preorder, the one walk that
+    intervals (and through it the validity oracle and order_times),
+    recompute_dfn and the sdfs2 bristle rebuild share.
     """
 
     __slots__ = ("n", "parent", "children", "depth", "dfn", "dfn_valid")
@@ -226,31 +231,44 @@ class DfsTree:
             push(children[v])
         return order
 
+    def intervals(self, depth: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """Each vertex's 0-based post-order rank and its subtree's preorder
+        interval [start, end], in children order, as int64 arrays from one
+        preorder walk; depth, when given, is the tree's depth as an int64
+        array.  The children lists must be a permutation of 1..n, which
+        is_valid_dfs_tree checks before it calls this.
+
+        Read backwards, the mirrored preorder is the post-order, so
+        position gives the rank.  In preorder, the last vertex of v's
+        subtree follows v's depth proper ancestors and the rank vertices
+        that finish before v, so end = rank + depth, and start = end -
+        size + 1.  Intervals are nested or disjoint: u and v are
+        ancestor-related iff theirs overlap, and v's subtree lies wholly
+        after u's iff start[v] > end[u].
+        """
+        n1 = self.n + 1
+        order = self.preorder()
+        rank = np.empty(n1, dtype=np.int64)
+        rank[np.fromiter(order, dtype=np.int64, count=n1)] = np.arange(n1 - 1, -1, -1)
+        size = [1] * n1
+        parent = self.parent
+        for v in order[:0:-1]:  # post-order without the root: children first
+            size[parent[v]] += size[v]
+        if depth is None:
+            depth = np.asarray(self.depth, dtype=np.int64)
+        end = rank + depth
+        return rank, end - np.asarray(size, dtype=np.int64) + 1, end
+
     def order_times(self) -> tuple[np.ndarray, np.ndarray]:
-        """Entry/exit times of a traversal in children order.
+        """Entry/exit times, from 1, of a traversal in children order, in
+        closed form from intervals: start entries and start - depth exits
+        come before v's entry, and end + 1 entries and rank exits before
+        its exit.
 
         u is an ancestor of v iff pre[u] <= pre[v] and post[u] >= post[v].
         """
-        n1 = self.n + 1
-        pre = [0] * n1
-        post = [0] * n1
-        t = 0
-        children = self.children
-        # entries: vertex v to enter, or ~v to exit
-        stack = [ROOT]
-        push = stack.append
-        pop = stack.pop
-        while stack:
-            v = pop()
-            t += 1
-            if v >= 0:
-                pre[v] = t
-                push(~v)
-                for c in reversed(children[v]):
-                    push(c)
-            else:
-                post[~v] = t
-        return np.asarray(pre, dtype=np.int64), np.asarray(post, dtype=np.int64)
+        rank, start, end = self.intervals()
+        return 2 * start - (end - rank) + 1, end + rank + 2
 
     def refresh_depths(self, root: int):
         """Recompute depth of root and its subtree from parent/children
@@ -502,19 +520,13 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
     unique).  All tree edges are present iff the number of matching graph
     edges equals the number of vertices with a real parent.
 
-    DfsTree.preorder lists the tree in mirrored preorder (last child
-    first); reversed, that is the post-order, so position gives each
-    vertex its 0-based post-order rank.  The walk lists every vertex once
-    iff the children entries are a permutation of 1..n; when they are not,
-    a walk that skips vertices already seen names the first vertex not
-    reached.  The preorder interval
-    [start, end] of a vertex v ends at end = rank + depth: in preorder, the
-    last vertex of v's subtree comes after the depth proper ancestors of v
-    and after the rank other vertices that finish no later than v.  With
-    subtree sizes, start = end - size + 1.  Intervals are nested or
-    disjoint, so a directed edge (u, v) is anti-cross iff start[v] > end[u],
-    and an undirected edge is cross iff its intervals are disjoint in
-    either order.
+    The preorder walk lists every vertex once iff the children entries are
+    a permutation of 1..n; when they are not, a walk that skips vertices
+    already seen names the first vertex not reached.  Otherwise
+    DfsTree.intervals gives the post-order ranks, which dfn must equal
+    plus one, and the preorder intervals: a directed edge (u, v) is
+    anti-cross iff start[v] > end[u], and an undirected edge is cross iff
+    its intervals are disjoint in either order.
     """
     n = graph.n
     if tree.n != n:
@@ -572,11 +584,7 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
                 stack.extend(children[v])
         v = seen.index(0, 1)
         return ValidityReport(False, None, f"vertex {v} not reached from the root")
-    order = tree.preorder()
-    # order is the mirrored preorder, so read backwards it is the post-order
-    walked = np.fromiter(order, dtype=np.int64, count=n + 1)
-    rank = np.empty(n + 1, dtype=np.int64)
-    rank[walked] = np.arange(n, -1, -1)
+    rank, start, end = tree.intervals(depth)
     if tree.dfn_valid:
         stale = np.asarray(tree.dfn, dtype=np.int64) != rank + 1
         if stale.any():
@@ -584,11 +592,6 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
             return ValidityReport(False, None, f"dfn not post-order at {v}")
     if graph.m == 0:
         return ValidityReport(True)
-    size = [1] * (n + 1)
-    for v in order[:0:-1]:  # post-order without the root: children first
-        size[parent[v]] += size[v]
-    end = rank + depth
-    start = end - np.asarray(size, dtype=np.int64) + 1
     if graph.directed:
         bad = start.take(ev) > end.take(eu)
     else:

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby, islice
-from operator import itemgetter
+from math import isnan
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -54,6 +55,19 @@ def _edge_universe(n: int, mode: str, rng=None):
     raise GeneratorError(f"unknown mode {mode!r}")
 
 
+def _ints(**named) -> list[int]:
+    """The named sizes and seeds, in order, normalised with operator.index
+    so that numpy ints become Python ints; a non-integer raises
+    GeneratorError."""
+    out = []
+    for name, x in named.items():
+        try:
+            out.append(index(x))
+        except TypeError:
+            raise GeneratorError(f"{name} must be an integer (got {x!r})") from None
+    return out
+
+
 def _rng(n: int, seed: int):
     """The PCG64 stream of a random sequence on n >= 1 vertices, seed >= 0."""
     if n < 1 or seed < 0:
@@ -63,6 +77,7 @@ def _rng(n: int, seed: int):
 
 def gen_gnm(n: int, m: int, seed: int, mode: str = "undirected") -> UpdateSequence:
     """First m edges of a uniformly random permutation of the edge universe."""
+    n, m, seed = _ints(n=n, m=m, seed=seed)
     rng = _rng(n, seed)
     eu, ev, order = _edge_universe(n, mode, rng)
     if not (0 <= m <= len(eu)):
@@ -83,6 +98,7 @@ def gen_gnp(n: int, p: float, seed: int) -> UpdateSequence:
     """Independent Bernoulli(p) per unordered pair, emitted in random order."""
     if not (0.0 <= p <= 1.0):
         raise GeneratorError(f"invalid probability {p}")
+    n, seed = _ints(n=n, seed=seed)
     rng = _rng(n, seed)
     eu, ev, _ = _edge_universe(n, "undirected")
     keep = rng.random(len(eu)) < p
@@ -106,6 +122,7 @@ def gen_worstcase_fdfs(n: int, m: int) -> UpdateSequence:
     Two chains A and B of n/2 vertices; m - n/2 forward edges packed inside
     B (densest near its head), then the n/2 triggers (a_i, b_1).
     """
+    n, m = _ints(n=n, m=m)
     if n % 2 or n < 4:
         raise GeneratorError("n must be even and >= 4")
     h = n // 2
@@ -225,6 +242,7 @@ def gen_worstcase_adfs1(n: int, m: int) -> UpdateSequence:
     those replays give meta's two costs and the two final trees the top-up
     is checked against.
     """
+    n, m = _ints(n=n, m=m)
     if not (1 <= n <= m <= n * (n - 1) // 2):
         raise GeneratorError(
             f"parameter combination infeasible: need n <= m <= n(n-1)/2, got n={n}, m={m}"
@@ -265,17 +283,17 @@ def gen_worstcase_adfs1(n: int, m: int) -> UpdateSequence:
     target = max(len(edges), -(-m // 3))
     if target > len(edges):
         meta["topup_start"] = len(edges)
-        pre1, post1 = (t.tolist() for t in t1.tree.order_times())
-        pre2, post2 = (t.tolist() for t in t2.tree.order_times())
+        s1, e1 = (t.tolist() for t in t1.tree.intervals()[1:])
+        s2, e2 = (t.tolist() for t in t2.tree.intervals()[1:])
         has_edge = t1.graph.has_edge
         for a in range(1, used + 1):
             if len(edges) >= target:
                 break
             for b in range(a + 1, used + 1):
                 # a and b are ancestor-related in a tree iff their
-                # pre-order and post-order times compare differently
-                if ((pre1[a] < pre1[b]) != (post1[a] < post1[b])
-                        and (pre2[a] < pre2[b]) != (post2[a] < post2[b])
+                # preorder intervals overlap
+                if (s1[a] <= e1[b] and s1[b] <= e1[a]
+                        and s2[a] <= e2[b] and s2[b] <= e2[a]
                         and not has_edge(a, b)):
                     edges.append((a, b))
                     if len(edges) >= target:
@@ -314,6 +332,7 @@ def gen_worstcase_sdfs3(n: int, m: int) -> UpdateSequence:
     transition edges per phase tip first the B-side (an exact size tie) and
     then the shrunken A-side over, restoring the setup one level deeper.
     """
+    n, m = _ints(n=n, m=m)
     if not (1 <= n <= m <= n * (n - 1) // 2):
         raise GeneratorError(
             f"parameter combination infeasible: need n <= m <= n(n-1)/2, got n={n}, m={m}"
@@ -418,6 +437,9 @@ def load_dataset(path, directed: bool = False) -> UpdateSequence:
                 t = float(parts[2]) if len(parts) == 3 else None
             except ValueError as exc:
                 raise GeneratorError(f"{path}:{lineno}: {exc}") from None
+            if t is not None and isnan(t):
+                # NaN compares false with everything, so no sort orders it
+                raise GeneratorError(f"{path}:{lineno}: NaN timestamp")
             if have_ts is not None and (t is not None) != have_ts:
                 raise GeneratorError(f"{path}:{lineno}: inconsistent timestamp columns")
             have_ts = t is not None

@@ -46,7 +46,7 @@ class SDFS(IncrementalDfs):
         # what the base class's uncharged DFS would charge, for a kept
         # tree's charge to build on: with no real edge, the full and the
         # interrupted DFS both charge the root's n entries
-        self._charge = n
+        self._charge = self.n
 
     def _rebuild(self):
         counters = self.counters

@@ -33,7 +33,13 @@ class StreamState:
     """Wrapper holding the core maintainer and the retention accounting."""
 
     def __init__(self, n: int, directed: bool = False):
-        self.n = n
+        if directed:
+            self.core = Sdfs2State(n, directed=True)
+            self.core.prune_hook = self._witness
+        else:
+            self.core = ADFS2(n)
+        # the core's Graph has normalised n (a non-integer raises GraphError)
+        self.n = n = self.core.n
         self.directed = directed
         self.duplicates = 0
         self.dropped = 0
@@ -41,11 +47,6 @@ class StreamState:
         self.peak_retained = 0
         # minimum-depth discarded stick target per source vertex
         self.highest_back: list[int | None] = [None] * (n + 1)
-        if directed:
-            self.core = Sdfs2State(n, directed=True)
-            self.core.prune_hook = self._witness
-        else:
-            self.core = ADFS2(n)
 
     @property
     def retained_edges(self) -> int:

@@ -863,10 +863,40 @@ def _post_ranks(post: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def reference_order_times(tree):
+    """DfsTree.order_times as it was before the closed form: entry/exit
+    times of a traversal in children order, by an Euler walk of its own.
+    Kept verbatim as the reference; unlike the closed form it also runs on
+    children lists that are not a permutation.
+
+    u is an ancestor of v iff pre[u] <= pre[v] and post[u] >= post[v].
+    """
+    n1 = tree.n + 1
+    pre = [0] * n1
+    post = [0] * n1
+    t = 0
+    children = tree.children
+    # entries: vertex v to enter, or ~v to exit
+    stack = [ROOT]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        v = pop()
+        t += 1
+        if v >= 0:
+            pre[v] = t
+            push(~v)
+            for c in reversed(children[v]):
+                push(c)
+        else:
+            post[~v] = t
+    return np.asarray(pre, dtype=np.int64), np.asarray(post, dtype=np.int64)
+
+
 def reference_is_valid_dfs_tree(graph, tree) -> ValidityReport:
     """The validity oracle as it was before the vectorised passes: Euler
-    times from DfsTree.order_times, a has_edge loop over the tree edges and
-    argsort ranks.  Kept verbatim as the differential reference."""
+    times from reference_order_times, a has_edge loop over the tree edges
+    and argsort ranks.  Kept verbatim as the differential reference."""
     n = graph.n
     if tree.n != n:
         raise GraphError("tree/graph vertex-count mismatch")
@@ -894,7 +924,7 @@ def reference_is_valid_dfs_tree(graph, tree) -> ValidityReport:
         for c in children[v]:
             if parent[c] != v:
                 return ValidityReport(False, None, f"children list broken at {v}")
-    pre, post = tree.order_times()
+    pre, post = reference_order_times(tree)
     if not pre.all():
         v = int(np.argmin(pre))
         return ValidityReport(False, None, f"vertex {v} not reached from the root")

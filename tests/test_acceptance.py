@@ -63,13 +63,13 @@ def _replay_validated(algo, edges):
     A full oracle pass runs whenever the tree state differs from the last
     validated snapshot.  When the four tree arrays compare equal to that
     snapshot the tree is bit-identical to a state already proven valid, so
-    only the freshly inserted edge can break it; the cached entry/exit
+    only the freshly inserted edge can break it; the cached preorder
     intervals decide that in O(1) (an edge is fine unless it jumps
     left-to-right across disjoint intervals).
     """
     directed = algo.directed
     cache = None
-    pre = post = None
+    start = end = None
     for u, v in edges:
         algo.insert(u, v)
         t = algo.tree
@@ -82,14 +82,14 @@ def _replay_validated(algo, edges):
             and t.dfn_valid == cache[4]
         ):
             if directed:
-                ok = pre[v] <= post[u]
+                ok = start[v] <= end[u]
             else:
-                ok = pre[v] <= post[u] and pre[u] <= post[v]
+                ok = start[v] <= end[u] and start[u] <= end[v]
             assert ok, f"{algo.name}: edge ({u},{v}) violates tree at m={algo.graph.m}"
         else:
             rep = is_valid_dfs_tree(algo.graph, t)
             assert rep.ok, f"{algo.name}: {rep.reason} at m={algo.graph.m}"
-            pre, post = t.order_times()
+            _, start, end = t.intervals()
             cache = (
                 list(t.parent),
                 [list(c) for c in t.children],

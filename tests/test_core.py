@@ -29,12 +29,14 @@ from incdfs.core import (
 from incdfs.generators import gen_gnm
 from incdfs.streaming import StreamState
 from oracles import (
+    ancestor_set,
     brute_classify,
     brute_lca,
     postorder_ranks,
     random_graph,
     reference_compute_pc,
     reference_is_valid_dfs_tree,
+    reference_order_times,
     reference_static_dfs,
     state_snapshot,
     tree_from_parents,
@@ -132,6 +134,14 @@ class TestGraph:
         g.add_edge(np.int64(1), np.int32(3))
         assert g.has_edge(1, 3)
         assert type(g.out_adj[1][-1]) is int
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, "3", None])
+    def test_non_integer_vertex_count_rejected(self, n):
+        with pytest.raises(GraphError, match="non-integer vertex count"):
+            Graph(n)
+
+    def test_numpy_vertex_count_stored_as_python_int(self):
+        assert type(Graph(np.int64(3)).n) is int
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("seed", range(6))
@@ -260,6 +270,34 @@ def test_out_of_range_self_loop_rejected(name, mode):
     twin.insert(1, 2)
     assert state_snapshot(algo) == state_snapshot(twin)
     assert not algo.insert(5, 5)
+
+
+@pytest.mark.parametrize("name,mode", ALGO_MODES)
+def test_vertex_count_normalised_before_any_list_is_built(name, mode):
+    # a float n raises GraphError from the graph, not TypeError from a list
+    # multiplication; a numpy n reaches neither the tree nor the counters
+    for n in (4.0, 3.5):
+        with pytest.raises(GraphError, match="non-integer vertex count"):
+            make_algorithm(name, n, mode)
+    ref = make_algorithm(name, 5, mode)
+    algo = make_algorithm(name, np.int64(5), mode)
+    for u, v in gen_gnm(5, 6, seed=1, mode=mode).edges:
+        ref.insert(u, v)
+        algo.insert(u, v)
+    c = algo.counters
+    assert type(algo.n) is int and type(algo.tree.n) is int
+    assert all(type(x) is int for x in (c.edges_processed, c.rebuilds, c.insertions))
+    assert _tree_state(algo) == _tree_state(ref)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_stream_vertex_count_normalised(directed):
+    for n in (2.0, 2.5):
+        with pytest.raises(GraphError, match="non-integer vertex count"):
+            StreamState(n, directed=directed)
+    st = StreamState(np.int64(3), directed=directed)
+    assert type(st.n) is int and len(st.highest_back) == 4
+    assert st.stream_edge(1, 2)
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -642,8 +680,11 @@ class TestIsValidDfsTree:
 
         monkeypatch.setattr(Graph, "has_edge", counted(Graph.has_edge))
         monkeypatch.setattr(DfsTree, "order_times", counted(DfsTree.order_times))
-        assert is_valid_dfs_tree(algo.graph, algo.tree).ok
-        assert calls == []
+        monkeypatch.setattr(DfsTree, "preorder", counted(DfsTree.preorder))
+        for _ in range(2):
+            calls.clear()
+            assert is_valid_dfs_tree(algo.graph, algo.tree).ok
+            assert calls == ["preorder"]
 
 
 # maintainer and graph mode pairs that make_algorithm accepts
@@ -745,6 +786,48 @@ class TestOracleDifferential:
             assert rep.ok
         if rep.ok and not graph.directed and graph.m < pairs:
             assert compute_pc(graph, tree) == reference_compute_pc(graph, tree)
+
+
+class TestIntervals:
+    """DfsTree.intervals on its own, and order_times, its closed form,
+    against the Euler walk it replaced."""
+
+    @pytest.mark.parametrize("name,mode", _MAINTAINER_MODES)
+    def test_order_times_matches_reference_walk(self, name, mode):
+        n = 24
+        pairs = n * (n - 1) if mode == "directed" else n * (n - 1) // 2
+        algo = make_algorithm(name, n, mode)
+        stale = 0
+        for u, v in gen_gnm(n, pairs // 2, seed=3, mode=mode).edges:
+            algo.insert(u, v)
+            pre, post = algo.tree.order_times()
+            ref_pre, ref_post = reference_order_times(algo.tree)
+            assert pre.tolist() == ref_pre.tolist() and post.tolist() == ref_post.tolist()
+            stale += not algo.tree.dfn_valid
+        # the undirected re-hangs and rebuilds leave dfn stale, which the
+        # closed form never reads
+        if mode == "undirected" and name not in ("sdfs", "sdfs-int"):
+            assert stale
+
+    @pytest.mark.parametrize("name,mode", _MAINTAINER_MODES)
+    def test_overlap_is_ancestry(self, name, mode):
+        n = 20
+        pairs = n * (n - 1) if mode == "directed" else n * (n - 1) // 2
+        algo = make_algorithm(name, n, mode)
+        for i, (u, v) in enumerate(gen_gnm(n, pairs // 3, seed=5, mode=mode).edges):
+            algo.insert(u, v)
+            if i % 8:
+                continue
+            tree = algo.tree
+            rank, start, end = tree.intervals()
+            post = postorder_ranks(tree)
+            assert (rank + 1).tolist() == [post[x] for x in range(n + 1)]
+            assert (start[ROOT], end[ROOT]) == (0, n)
+            anc = [ancestor_set(tree, x) for x in range(n + 1)]
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    overlap = start[a] <= end[b] and start[b] <= end[a]
+                    assert overlap == (a in anc[b] or b in anc[a]), (a, b)
 
 
 class TestLca:

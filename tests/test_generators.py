@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from oracles import reference_gen_worstcase_adfs1
 
@@ -47,6 +48,38 @@ def is_acyclic(seq):
             if indeg[w] == 0:
                 queue.append(w)
     return seen == seq.n
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda: gen_gnm(5.0, 3, seed=0), "n", id="gnm-n"),
+    pytest.param(lambda: gen_gnm(5, 3.0, seed=0), "m", id="gnm-m"),
+    pytest.param(lambda: gen_gnm(5, 3, seed=0.5), "seed", id="gnm-seed"),
+    pytest.param(lambda: gen_gnp(5.0, 0.5, seed=0), "n", id="gnp-n"),
+    pytest.param(lambda: gen_gnp(5, 0.5, seed=1.0), "seed", id="gnp-seed"),
+    pytest.param(lambda: gen_worstcase_fdfs(6.0, 10), "n", id="fdfs-n"),
+    pytest.param(lambda: gen_worstcase_fdfs(6, 10.0), "m", id="fdfs-m"),
+    pytest.param(lambda: gen_worstcase_adfs1(64.0, 256), "n", id="adfs1-n"),
+    pytest.param(lambda: gen_worstcase_adfs1(64, 256.0), "m", id="adfs1-m"),
+    pytest.param(lambda: gen_worstcase_sdfs3(64.0, 128), "n", id="sdfs3-n"),
+    pytest.param(lambda: gen_worstcase_sdfs3(64, 128.0), "m", id="sdfs3-m"),
+])
+def test_non_integer_size_or_seed_rejected(call, name):
+    # not a TypeError from deep inside, and never a sequence with n == 5.0
+    with pytest.raises(GeneratorError, match=f"^{name} must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: gen_gnm(np.int64(5), np.int32(3), seed=np.int64(0)), id="gnm"),
+    pytest.param(lambda: gen_gnp(np.int32(5), 0.5, seed=np.int64(1)), id="gnp"),
+    pytest.param(lambda: gen_worstcase_fdfs(np.int64(6), np.int64(10)), id="fdfs"),
+    pytest.param(lambda: gen_worstcase_adfs1(np.int64(64), np.int64(256)), id="adfs1"),
+    pytest.param(lambda: gen_worstcase_sdfs3(np.int64(64), np.int64(128)), id="sdfs3"),
+])
+def test_numpy_sizes_come_back_as_python_ints(call):
+    seq = call()
+    assert type(seq.n) is int
+    assert not any(isinstance(x, np.integer) for x in seq.meta.values())
 
 
 class TestGnm:
@@ -335,6 +368,13 @@ class TestDataset:
         seq = load_dataset(p)
         assert seq.batch_id == [0, 1]
         assert [len(b) for b in batches(seq)] == [1, 1]
+
+    def test_nan_timestamp_rejected(self, tmp_path):
+        # NaN would break the stable sort: (4, 5) at t = 0 landed after t = 1
+        p = tmp_path / "ds.txt"
+        p.write_text("1 2 nan\n2 3 1\n3 4 nan\n4 5 0\n")
+        with pytest.raises(GeneratorError, match=r"ds\.txt:1: NaN timestamp"):
+            load_dataset(p)
 
     def test_malformed_line_reports_position(self, tmp_path):
         p = tmp_path / "ds.txt"
