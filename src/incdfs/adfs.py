@@ -18,8 +18,8 @@ step that moves the depths the keys are made of.
 Edges with an endpoint on the stick proper are ancestor-related to every
 vertex, so they are dropped on sight, and the stored edges keyed on a
 vertex are dropped when it joins the stick; discarded_edges counts both.
-The stick view is base.StickState's.  Only a re-hang changes the tree, so
-only then does the stick walk run.
+The stick view is base.IncrementalDfs's.  Only a re-hang changes the
+tree, so only then does the stick walk run.
 
 Every edge popped from the pool (and the inserted edge itself) charges
 edges_processed once.  Structural bookkeeping -- path reversal, depth
@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from heapq import heapify, heappop
 
-from .base import StickState
+from .base import IncrementalDfs
 from .core import ROOT, GraphError, lca, path_below
 
 
-class AdfsState(StickState):
+class AdfsState(IncrementalDfs):
     """Shared machinery; ADFS1/ADFS2 differ only in pool order."""
 
     def __init__(self, n: int, directed: bool = False):

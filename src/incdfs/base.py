@@ -1,4 +1,5 @@
-"""Common driver interface shared by all incremental DFS maintainers."""
+"""Common driver interface shared by all incremental DFS maintainers,
+and the one stick view they all read (IncrementalDfs)."""
 from __future__ import annotations
 
 from .core import ROOT, Counters, DfsTree, Graph, extend_stick
@@ -18,11 +19,24 @@ def star_tree(n: int) -> DfsTree:
 
 
 class IncrementalDfs:
-    """Base class: owns the graph, the current tree, and the work counters.
+    """Base class: owns the graph, the current tree, the work counters and
+    the stick view.
 
     Subclasses implement _apply(u, v) to restore the DFS-tree invariant
     after one edge insertion, and _apply_batch(edges) for grouped updates
     unless they set supports_batch = False.
+
+    The stick view: on_stick marks the stick proper, stick lists it top
+    down, bristle_root is the first vertex below it, and discarded_edges
+    counts the edges a maintainer forgot for touching it.  Every stick
+    vertex is an ancestor of every other vertex except the stick vertices
+    above it, so an edge with a marked endpoint is a back or forward edge
+    and can never invalidate the tree: every maintainer tests the marks
+    before it walks for ancestry.  Repairs sit at or below the bristle
+    root, so a maintainer that repairs in place calls _grow_stick after
+    each repair; one that replaces its tree calls _reset_stick.  _prune(q)
+    drops the edges a maintainer stores on q once q joined; the default
+    stores none.
     """
 
     name = "base"
@@ -32,6 +46,11 @@ class IncrementalDfs:
         self.graph = Graph(n, directed=directed)
         self.counters = Counters()
         self.tree = star_tree(self.graph.n)
+        self.discarded_edges = 0
+        self.on_stick = bytearray(self.graph.n + 1)
+        self.stick: list[int] = []
+        # the star tree has no stick proper: this only sets bristle_root
+        self.bristle_root = extend_stick(self.tree.children, self.stick)
 
     @property
     def n(self):
@@ -86,24 +105,6 @@ class IncrementalDfs:
     def _apply(self, u, v):
         raise NotImplementedError
 
-
-class StickState(IncrementalDfs):
-    """A maintainer with the public stick view: on_stick marks the stick
-    proper, stick lists it top down, bristle_root is the first vertex below
-    it, and discarded_edges counts the edges dropped for touching it.
-
-    An edge with an endpoint on the stick proper can never invalidate the
-    tree again.  Subclasses call _grow_stick after each repair and implement
-    _prune(q), which drops the edges they store on q once q joined."""
-
-    def __init__(self, n: int, directed: bool = False):
-        super().__init__(n, directed=directed)
-        self.discarded_edges = 0
-        self.on_stick = bytearray(n + 1)
-        self.stick: list[int] = []
-        # the star tree has no stick proper: this only sets bristle_root
-        self.bristle_root = extend_stick(self.tree.children, self.stick)
-
     def _grow_stick(self):
         """Extend the stick view below the old stick (core.extend_stick);
         prune every vertex that joined, once all of them are marked."""
@@ -115,5 +116,12 @@ class StickState(IncrementalDfs):
         for q in joined:
             self._prune(q)
 
+    def _reset_stick(self):
+        """Walk the stick view of a new tree down from the root."""
+        for q in self.stick:
+            self.on_stick[q] = 0
+        self.stick = []
+        self._grow_stick()
+
     def _prune(self, q):
-        raise NotImplementedError
+        pass

@@ -98,7 +98,8 @@ def cmd_broomstick(args):
     prof = stick_profile(algo.tree)
     m = len(seq.edges)
     line = f"# n={seq.n} m={m} measured l_s={prof.l_s} bristle={prof.bristle}"
-    if seq.n >= 2 and m >= 1:  # predict_stick's domain
+    # predict_stick models undirected G(n, m) with n >= 2 and m >= 1
+    if not seq.directed and seq.n >= 2 and m >= 1:
         line += f" predicted l_s>={predict_stick(seq.n, m, c=1.0)}"
     print(line, file=sys.stderr)
     return 0

@@ -2,9 +2,15 @@
 
 The tree's post-order numbering (dfn) and its inverse dfn_index are kept
 exact.  An inserted edge (x, y) with dfn(x) >= dfn(y) never invalidates
-the tree and is absorbed in O(1).  Otherwise it is an anti-cross edge,
-repaired in phases; sdfs3's directed modes run this same repair and only
-charge differently.
+the tree and is absorbed in O(1).  Otherwise y finished after x, so a y
+on the stick (base.IncrementalDfs's view) is an ancestor of x: the edge
+is a back edge, taken with w = y and no ancestry walk.  Any other edge
+is tested with lca; a back edge is stored, and in dag mode rejected as a
+cycle.  What is left is an anti-cross edge, repaired in phases; sdfs3's
+directed modes run this same repair and only charge differently.  The
+repair changes the tree only at or below w, which sits at or below the
+bristle root, so the stick only grows: the marks grow after each repair.
+No edge is forgotten, so discarded_edges stays 0.
 
 Candidate set: vertices with dfn in (dfn(x), hi], excluding the proper
 ancestors of x below w = lca(x, y) (the blocked ancestors), where
@@ -104,7 +110,8 @@ class FdfsState(IncrementalDfs):
         self.counters.edges_processed += 1
         if tree.dfn[x] >= tree.dfn[y]:
             return  # back/forward/cross for the maintained order: stored
-        w = lca(tree, x, y)
+        # a marked y is an ancestor of x, which finished before it
+        w = y if self.on_stick[y] else lca(tree, x, y)
         if w == y:
             # back edge: y already reaches x through the tree
             if self.mode == "dag":
@@ -161,6 +168,7 @@ class FdfsState(IncrementalDfs):
     def _rebuild(self, x, y, w):
         self._renumber(x, *self._splice(x, y, w))
         self.counters.rebuilds += 1
+        self._grow_stick()
 
     def _renumber(self, x, block, blocked, fresh, post):
         """Give the block the ranks dfn(x), dfn(x) + 1, ... (dfn, dfn_index)

@@ -17,7 +17,12 @@ the stack and the shallower one's finds it finished, so nothing changes;
 if they are not (a cross edge), the one discovered first reaches its new
 entry while the other is still unvisited.  Only a cross or anti-cross
 edge (core.violates) reruns static_dfs; any other edge keeps the tree,
-which is the DFS's result exactly.
+which is the DFS's result exactly.  An edge with an endpoint on the
+stick (base.IncrementalDfs's view) is a back or forward edge, so it
+skips violates and its ancestry walk.  A rerun may change the whole
+tree, so after each one (a batch's too) the marks are cleared and walked
+again from the root: O(l_s) against the rerun's O(n + m).  No edge is
+forgotten, so discarded_edges stays 0.
 
 Charges for a kept tree, in closed form.  The cost counter prices the DFS
 a naive rebuild would run.  sdfs: a full DFS charges n + m.  sdfs-int:
@@ -54,11 +59,12 @@ class SDFS(IncrementalDfs):
         self.tree = static_dfs(self.graph, counters=counters, interrupt=self.interrupt)
         self._charge = counters.edges_processed - before
         counters.rebuilds += 1
+        self._reset_stick()
 
     def _apply(self, u, v):
         tree = self.tree
         directed = self.graph.directed
-        if violates(tree, u, v, directed):
+        if not (self.on_stick[u] or self.on_stick[v]) and violates(tree, u, v, directed):
             self._rebuild()
             return
         s = u if directed or tree.depth[u] > tree.depth[v] else v

@@ -12,7 +12,7 @@ lists, so an edge sits in both endpoints' lists.  A violating insertion
 core.restricted_dfs from the bristle root over the bristles, on the
 bristle-induced subgraph (tree edges, stored edges, the trigger).  The
 stick's tree edges are never touched; afterwards the stick view
-(base.StickState) grows and prunes the stored edges its growth
+(base.IncrementalDfs) grows and prunes the stored edges its growth
 swallowed.
 
 Every insertion charges one unit.  A rebuild reaches every bristle and
@@ -27,12 +27,12 @@ test (core.violates) needs.  Undirected dfn is not maintained
 """
 from __future__ import annotations
 
-from .base import StickState
+from .base import IncrementalDfs
 from .core import ROOT, restricted_dfs, violates
 
 
-class Sdfs2State(StickState):
-    """The stick view of StickState, plus stored[u] and _stored_in[v],
+class Sdfs2State(IncrementalDfs):
+    """The shared stick view, plus stored[u] and _stored_in[v],
     the out- and in-lists of the stored non-tree edges (one and the same
     lists when undirected), and prune_hook."""
 

@@ -4,7 +4,10 @@ Each repair is core.restricted_dfs over a vertex set small enough to find
 cheaply; the charges are closed form because every visited adjacency list
 is scanned to the end.
 
-Undirected mode: a violating (cross) edge (x, y) with w = lca(x, y)
+Undirected mode: an edge with an endpoint on the stick (the view of
+base.IncrementalDfs) is a back edge and keeps the tree, with no ancestry
+walk; the marks grow after each repair, which sits at or below the
+bristle root.  A violating (cross) edge (x, y) with w = lca(x, y)
 identifies the two child subtrees of w containing x and y.  A lock-step
 probe walks both subtrees one vertex at a time to find the smaller one
 without paying for the larger (the probe's vertex touches are metered as
@@ -58,6 +61,8 @@ class Sdfs3State(FdfsState):
     # -- undirected: rebuild the smaller side ------------------------------
 
     def _apply_undirected(self, x, y):
+        if self.on_stick[x] or self.on_stick[y]:
+            return  # back edge on the stick: the tree stands
         tree = self.tree
         w = lca(tree, x, y)
         if w == x or w == y:
@@ -104,6 +109,7 @@ class Sdfs3State(FdfsState):
         self.counters.edges_processed += entries - twice_internal // 2
         tree.dfn_valid = False
         self.counters.rebuilds += 1
+        self._grow_stick()
 
     # -- directed: fdfs's repair, charged as a full candidate re-traversal
 
@@ -115,3 +121,4 @@ class Sdfs3State(FdfsState):
         self.counters.edges_processed += sum([len(adj[v]) for v in block if fresh[v]])
         self._renumber(x, block, blocked, fresh, post)
         self.counters.rebuilds += 1
+        self._grow_stick()

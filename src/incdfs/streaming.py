@@ -13,9 +13,9 @@ scipy's strong components; see strong_components.
 Bristle-internal edges are delegated to a wrapped incremental maintainer
 (re-hanging for undirected streams, bristle rebuilds for directed ones).
 Whenever the stick grows, the maintainer prunes the retained edges it
-swallows, so the retained count stays O(n log n) on random streams.  Both
-maintainers are base.StickState subclasses, and the wrapper reads only
-that public stick view (on_stick, discarded_edges) plus Sdfs2State's
+swallows, so the retained count stays O(n log n) on random streams.  The
+wrapper reads only the stick view every maintainer shares
+(base.IncrementalDfs: on_stick, discarded_edges) plus Sdfs2State's
 stored and prune_hook in directed mode.
 """
 from __future__ import annotations

@@ -57,12 +57,19 @@ class TestBroomstickCommand:
         assert "measured l_s=" in err
 
     def test_prediction_skipped_outside_its_domain(self, capsys):
-        # predict_stick needs n >= 2 and m >= 1; the measured line stays
-        code, out, err = run_cli(capsys, "broomstick", "--algo", "adfs2", "--n", "1",
-                                 "--m", "0")
-        assert code == 0
-        assert read_csv(io.StringIO(out))[-1].m == 0
-        assert "measured l_s=0" in err and "predicted" not in err
+        # predict_stick models undirected G(n, m) with n >= 2 and m >= 1;
+        # the measured line stays.  A directed static-DFS stick falls below
+        # the undirected prediction, and a random dag's stick stays empty.
+        for algo, mode, n, m in (("adfs2", "undirected", 1, 0),
+                                 ("sdfs2", "directed", 200, 4000),
+                                 ("fdfs", "dag", 60, 700)):
+            code, out, err = run_cli(capsys, "broomstick", "--algo", algo, "--mode", mode,
+                                     "--n", str(n), "--m", str(m))
+            assert code == 0
+            assert read_csv(io.StringIO(out))[-1].m == m
+            assert "measured l_s=" in err and "predicted" not in err
+            if mode != "directed":
+                assert "measured l_s=0" in err
 
 
 class TestWorstcaseCommand:

@@ -1,5 +1,6 @@
 import pytest
 
+import incdfs.fdfs
 from incdfs.core import EdgeClass, GraphError, classify_edge, is_valid_dfs_tree
 from incdfs.fdfs import CycleError, FdfsState
 from incdfs.generators import gen_gnm, gen_worstcase_fdfs
@@ -56,6 +57,35 @@ class TestSmallCases:
             assert algo.counters.insertions == len(prefix)
             assert is_valid_dfs_tree(algo.graph, algo.tree).ok
             assert dfn_is_postorder(algo)
+
+    @pytest.mark.parametrize("cls", [FdfsState, Sdfs3State])
+    def test_cycle_through_the_stick_rejected(self, cls, monkeypatch):
+        # 1 -> 2 -> {3, 4}: the stick proper is [1], the bristle root 2.
+        # (3, 1) has a marked head, so it is taken as a back edge without
+        # an ancestry walk, and in dag mode a back edge closes a cycle
+        algo = cls(4, mode="dag")
+        for e in ((1, 2), (2, 3), (2, 4)):
+            algo.insert(*e)
+        assert algo.stick == [1] and algo.bristle_root == 2
+        assert list(algo.on_stick) == [0, 1, 0, 0, 0]
+
+        def view():
+            return (bytes(algo.on_stick), list(algo.stick), algo.bristle_root,
+                    algo.discarded_edges)
+
+        before, stick_before = state_snapshot(algo), view()
+
+        def no_walk(*args):
+            raise AssertionError("lca called for an edge with a marked head")
+
+        monkeypatch.setattr(incdfs.fdfs, "lca", no_walk)
+        with pytest.raises(CycleError):
+            algo.insert(3, 1)
+        assert state_snapshot(algo) == before
+        assert view() == stick_before
+        assert not algo.graph.has_edge(3, 1)
+        assert is_valid_dfs_tree(algo.graph, algo.tree).ok
+        assert dfn_is_postorder(algo)
 
     def test_indirect_cycle_rejected(self):
         algo = FdfsState(4, mode="dag")

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import incdfs.adfs
 import incdfs.core
 import incdfs.fdfs
 import incdfs.sdfs2
@@ -58,18 +59,36 @@ class TestStickHandling:
         assert algo.counters.rebuilds == 1
         assert is_valid_dfs_tree(algo.graph, algo.tree).ok
 
-    @pytest.mark.parametrize("name,mode", [
-        ("adfs1", "undirected"), ("adfs2", "undirected"),
-        ("sdfs2", "undirected"), ("sdfs2", "directed"),
-    ])
-    def test_on_stick_matches_stick_profile(self, name, mode):
-        # the stick view, resumed below the old stick after every
-        # insertion, equals a fresh walk down from the root
+    STICK_CASES = [
+        ("adfs1", "undirected", 0), ("adfs2", "undirected", 0),
+        ("sdfs2", "undirected", 0), ("sdfs2", "directed", 0),
+        ("fdfs", "dag", 0), ("fdfs", "directed", 0),
+        ("sdfs3", "undirected", 0), ("sdfs3", "directed", 0), ("sdfs3", "dag", 0),
+        ("sdfs", "undirected", 0), ("sdfs", "directed", 0),
+        ("sdfs-int", "undirected", 0), ("sdfs-int", "directed", 0),
+        ("sdfs", "undirected", 300),
+    ]
+
+    @pytest.mark.parametrize("name,mode,prefix", STICK_CASES, ids=[
+        f"{name}-{mode}" + (f"-batch{prefix}" if prefix else "")
+        for name, mode, prefix in STICK_CASES])
+    def test_on_stick_matches_stick_profile(self, name, mode, prefix, monkeypatch):
+        # the stick view, resumed below the old stick after every repair
+        # (walked again from the root after an sdfs rerun, a batch's
+        # included), equals a fresh walk down from the root; and no
+        # maintainer walks for ancestry from a marked endpoint
         seq = gen_gnm(80, 600 if mode == "undirected" else 2000, seed=14, mode=mode)
         algo = make_algorithm(name, 80, mode)
-        grown = False
-        for u, v in seq.edges:
-            algo.insert(u, v)
+        lca = incdfs.core.lca
+
+        def unmarked_lca(tree, u, v):
+            assert not (algo.on_stick[u] or algo.on_stick[v]), (u, v)
+            return lca(tree, u, v)
+
+        for module in (incdfs.core, incdfs.adfs, incdfs.fdfs, incdfs.sdfs3):
+            monkeypatch.setattr(module, "lca", unmarked_lca)
+
+        def check():
             prof = stick_profile(algo.tree)
             chain, cur = [], ROOT
             while len(algo.tree.children[cur]) == 1:
@@ -80,8 +99,26 @@ class TestStickHandling:
             assert marked == set(algo.stick)
             assert len(marked) == prof.l_s
             assert algo.bristle_root == prof.bristle_root == cur
-            grown = grown or prof.l_s > 0
-        assert grown
+            if mode == "dag":
+                assert prof.l_s == 0  # criterion 7
+            return prof.l_s > 0
+
+        edges = seq.edges
+        if prefix:
+            algo.insert_batch(edges[:prefix])
+            check()
+            edges = edges[prefix:]
+        grown = False
+        reruns_on_a_stick = 0
+        for u, v in edges:
+            tree, had_stick = algo.tree, bool(algo.stick)
+            algo.insert(u, v)
+            reruns_on_a_stick += had_stick and algo.tree is not tree
+            grown = check() or grown
+        assert grown or mode == "dag"
+        if name in ("sdfs", "sdfs-int"):
+            # a rerun replaced a tree that had a stick: the reset ran
+            assert reruns_on_a_stick > 0
 
     def test_no_stored_edge_touches_stick(self):
         # after every insertion each stored edge sits once in its out-list
