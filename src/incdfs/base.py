@@ -50,7 +50,7 @@ class IncrementalDfs:
         self.on_stick = bytearray(self.graph.n + 1)
         self.stick: list[int] = []
         # the star tree has no stick proper: this only sets bristle_root
-        self.bristle_root = extend_stick(self.tree.children, self.stick)
+        self.bristle_root = extend_stick(self.tree.children, self.stick, ROOT)
 
     @property
     def n(self):
@@ -106,10 +106,10 @@ class IncrementalDfs:
         raise NotImplementedError
 
     def _grow_stick(self):
-        """Extend the stick view below the old stick (core.extend_stick);
+        """Extend the stick view from the bristle root (core.extend_stick);
         prune every vertex that joined, once all of them are marked."""
         start = len(self.stick)
-        self.bristle_root = extend_stick(self.tree.children, self.stick)
+        self.bristle_root = extend_stick(self.tree.children, self.stick, self.bristle_root)
         joined = self.stick[start:]
         for q in joined:
             self.on_stick[q] = 1
@@ -121,6 +121,7 @@ class IncrementalDfs:
         for q in self.stick:
             self.on_stick[q] = 0
         self.stick = []
+        self.bristle_root = ROOT
         self._grow_stick()
 
     def _prune(self, q):

@@ -215,9 +215,11 @@ def run_experiment(config: ExperimentConfig):
     if config.trials < 1:
         raise GraphError("trials must be >= 1")
     per_trial = []
+    if config.dataset is not None:  # every trial replays the same file
+        dataset = load_dataset(config.dataset, directed=config.mode != "undirected")
     for trial in range(config.trials):
         if config.dataset is not None:
-            seq = load_dataset(config.dataset, directed=config.mode != "undirected")
+            seq = dataset
         else:
             seq = gen_gnm(config.n, config.m, seed=config.seed + trial, mode=config.mode)
         algo = make_algorithm(config.algo, seq.n, config.mode)

@@ -368,7 +368,11 @@ def static_dfs(
     every entry, so it charges exactly n + m in both modes.  An interrupted
     DFS charges only the entries it reached: a directed one n + m minus the
     entries left in the iterators on the stack, an undirected one n tree
-    edges plus the back edges scanned from their descendant end.
+    edges plus the back edges scanned from their descendant end.  An
+    undirected DFS has no cross edges, so a visited neighbour w of u is an
+    ancestor of u on the stack or a finished descendant; the parent is the
+    only ancestor at depth(u) - 1, so w closes a back edge seen from its
+    descendant end exactly when depth(w) < depth(u) - 1.
     """
     if start != ROOT or restrict_to is not None:
         raise GraphError("static_dfs runs from the pseudo root over the whole graph")
@@ -380,11 +384,8 @@ def static_dfs(
     children = tree.children
     adj = graph.out_adj
     count_back = interrupt and not graph.directed
-    # False: unvisited, True: visited.  Only the undirected interrupted DFS
-    # must tell finished vertices from those on the stack; there they turn 2.
-    state = [False] * (n + 1)
-    state[ROOT] = True
-    finished = 2 if count_back else True
+    visited = [False] * (n + 1)
+    visited[ROOT] = True
     verts = [ROOT]
     its = [iter(adj[ROOT])]
     push_v = verts.append
@@ -392,33 +393,31 @@ def static_dfs(
     pop_v = verts.pop
     pop_it = its.pop
     left = n
-    d = 0
+    pd = -1  # depth(u) - 1, u the vertex on top of the stack
     rank = 1
     back = 0
     while its:
         u = verts[-1]
-        pu = parent[u]
         for w in its[-1]:
-            if not state[w]:
-                state[w] = True
+            if not visited[w]:
+                visited[w] = True
                 parent[w] = u
-                d += 1
-                depth[w] = d
+                pd += 1
+                depth[w] = pd + 1
                 children[u].append(w)
                 push_v(w)
                 push_it(iter(adj[w]))
                 left -= 1
                 break
-            elif count_back and state[w] is True and w != pu:
+            elif count_back and depth[w] < pd:
                 # a back edge seen from its descendant end: its first scan
                 back += 1
         else:
             pop_v()
             pop_it()
-            state[u] = finished
             dfn[u] = rank
             rank += 1
-            d -= 1
+            pd -= 1
             continue
         if interrupt and not left:
             break
@@ -604,9 +603,10 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
     return ValidityReport(True)
 
 
-def extend_stick(children, stick) -> int:
-    """Extend stick, the stick proper listed top down, to the tree's
-    current stick and return the bristle root.
+def extend_stick(children, stick, cur) -> int:
+    """Walk the stick down from cur, the bristle root before the latest
+    repair (ROOT for a new tree), append each real vertex it leaves to
+    stick, the stick proper listed top down, and return the bristle root.
 
     The stick is the maximal unbranched chain below the root: walking down
     while every vertex (including the root) has exactly one child.  The
@@ -614,16 +614,15 @@ def extend_stick(children, stick) -> int:
     vertices strictly between the root and it are the stick proper.  Under
     edge insertions the stick proper only grows, because re-hangs and
     bristle rebuilds happen at or below the bristle root, so the walk
-    resumes below the last vertex of stick (at the root when it is empty).
-    The vertices that joined are the ones appended.
+    resumes there; a bristle root that still branches (or is a leaf) costs
+    one child-count test.  The vertices that joined are the ones appended.
     """
-    top = stick[-1] if stick else ROOT
-    cur = top
-    while len(children[cur]) == 1:
-        cur = children[cur][0]
-        stick.append(cur)
-    if cur != top:
-        stick.pop()  # the last chain vertex is the bristle root
+    kids = children[cur]
+    while len(kids) == 1:
+        if cur != ROOT:
+            stick.append(cur)
+        cur = kids[0]
+        kids = children[cur]
     return cur
 
 
@@ -634,5 +633,5 @@ def stick_profile(tree: DfsTree) -> StickProfile:
     vertices.
     """
     stick = []
-    root = extend_stick(tree.children, stick)
+    root = extend_stick(tree.children, stick, ROOT)
     return StickProfile(len(stick), tree.n - len(stick), root)

@@ -35,9 +35,10 @@ Only the block dfn_index[lo : hi + 1] is renumbered, lo = dfn(x):
   x; an unreached candidate keeps its parent and its place among its
   siblings.
 - So the block's vertices take exactly the ranks lo..hi and no other
-  vertex's rank changes.  In order they are y's new subtree, x, then the
-  unreached candidates and the blocked ancestors in their old relative
-  order.
+  vertex's rank changes.  In order they are y's new subtree (phase 1's
+  post-order), x, then rest: the members after x that phase 1 did not
+  reach, which are the unreached candidates and the blocked ancestors, in
+  their old rank order.
 """
 from __future__ import annotations
 
@@ -79,12 +80,12 @@ class FdfsState(IncrementalDfs):
     # -- candidate machinery ----------------------------------------------
 
     def _interval(self, x, y, w):
-        """The block dfn_index[dfn(x) : hi + 1], x first, and the blocked
-        ancestors in rank order (all inside the block)."""
+        """The block dfn_index[dfn(x) + 1 : hi + 1], the members ranked
+        after x, and the blocked ancestors in rank order (all inside it)."""
         tree = self.tree
         c = path_below(tree, y, w)[-1] if self.mode == "directed" else y
         blocked = path_below(tree, x, w)[1:]
-        return self.dfn_index[tree.dfn[x] : tree.dfn[c] + 1], blocked
+        return self.dfn_index[tree.dfn[x] + 1 : tree.dfn[c] + 1], blocked
 
     def candidate_set(self, x, y):
         """Eligible vertices for the pending anti-cross edge (x, y): directed
@@ -101,7 +102,7 @@ class FdfsState(IncrementalDfs):
         if w == y:
             raise GraphError(f"({x},{y}) is a back edge: no candidate set")
         block, blocked = self._interval(x, y, w)
-        return set(block[1:]).difference(blocked)
+        return set(block).difference(blocked)
 
     # -- rebuild ----------------------------------------------------------
 
@@ -119,10 +120,7 @@ class FdfsState(IncrementalDfs):
             return
         self._rebuild(x, y, w)
 
-    def _splice(self, x, y, w):
-        """Phase 1 and the splice; returns (block, blocked, fresh, post).
-        post is y's new subtree in post-order, and fresh marks exactly the
-        candidates phase 1 did not reach."""
+    def _rebuild(self, x, y, w):
         tree = self.tree
         parent, children = tree.parent, tree.children
         block, blocked = self._interval(x, y, w)
@@ -144,10 +142,10 @@ class FdfsState(IncrementalDfs):
         post = restricted_dfs(adj, y, fresh, new_parent, {y: 0}, new_children)
         if dag and not (fresh[x] and all(map(fresh.__getitem__, blocked))):
             reject(self, x, y)
-        self.counters.edges_processed += sum(map(len, map(adj.__getitem__, post)))
-        fresh[x] = False
         for a in blocked:
-            fresh[a] = False
+            fresh[a] = True
+        rest = [v for v in block if fresh[v]]
+        self._charge(post, rest, blocked)
 
         # splice the reached set in as a subtree rooted at y.  A reached
         # vertex's children are all reached too (tree edges are graph
@@ -163,20 +161,17 @@ class FdfsState(IncrementalDfs):
             parent[v] = p
         children[x].append(y)
         tree.refresh_depths(y)
-        return block, blocked, fresh, post
 
-    def _rebuild(self, x, y, w):
-        self._renumber(x, *self._splice(x, y, w))
+        dfn, index = tree.dfn, self.dfn_index
+        for r, v in enumerate(post + [x] + rest, dfn[x]):
+            dfn[v] = r
+            index[r] = v
         self.counters.rebuilds += 1
         self._grow_stick()
 
-    def _renumber(self, x, block, blocked, fresh, post):
-        """Give the block the ranks dfn(x), dfn(x) + 1, ... (dfn, dfn_index)
-        in the order of the module docstring.  fresh is _splice's; the
-        blocked ancestors are marked in it to pick the untouched members."""
-        for a in blocked:
-            fresh[a] = True
-        dfn, index = self.tree.dfn, self.dfn_index
-        for r, v in enumerate(post + [x] + [v for v in block if fresh[v]], dfn[x]):
-            dfn[v] = r
-            index[r] = v
+    def _charge(self, post, rest, blocked):
+        """Phase 1 scans every out-entry of the reached vertices, post; rest
+        lists the other block members after x in rank order, the blocked
+        ancestors among them."""
+        adj = self.graph.out_adj
+        self.counters.edges_processed += sum(map(len, map(adj.__getitem__, post)))

@@ -18,12 +18,13 @@ subtree containing y.  The charge counts each edge once: the members'
 real adjacency entries minus the internal edges I, where 2I is the number
 of member entries that point at a member.  dfn is left stale.
 
-Directed and dag modes are fdfs's repair with sdfs3's charge: they share
-its candidate interval, its phase 1 (the restricted DFS from y, with the
-dag tripwires and the reject test), its splice and its renumbering.  The
-simple algorithm then re-traverses every candidate subtree phase 1 did
-not reach, from its root in old rank order, re-hung in place.  That
-re-traversal gives back the tree it starts from, so it is not run:
+Directed and dag modes are fdfs's repair with sdfs3's charge: only
+FdfsState._charge is overridden.  They share its candidate interval, its
+phase 1 (the restricted DFS from y, with the dag tripwires and the reject
+test), its splice and its renumbering.  The simple algorithm then
+re-traverses every candidate subtree phase 1 did not reach, from its root
+in old rank order, re-hung in place.  That re-traversal gives back the
+tree it starts from, so it is not run:
 - The old tree is valid, so no edge is anti-cross: no edge leads from a
   finished subtree to a vertex discovered after it.
 - A reached vertex's subtree is wholly reached, so a vertex that left an
@@ -113,12 +114,11 @@ class Sdfs3State(FdfsState):
 
     # -- directed: fdfs's repair, charged as a full candidate re-traversal
 
-    def _rebuild(self, x, y, w):
-        block, blocked, fresh, post = self._splice(x, y, w)
+    def _charge(self, post, rest, blocked):
+        """fdfs's charge, plus one vertices_remarked per candidate and every
+        out-entry of the unreached ones: rest without the blocked ancestors."""
+        super()._charge(post, rest, blocked)
         adj = self.graph.out_adj
-        self.counters.vertices_remarked += len(block) - 1 - len(blocked)
-        # fresh marks exactly the unreached candidates until _renumber
-        self.counters.edges_processed += sum([len(adj[v]) for v in block if fresh[v]])
-        self._renumber(x, block, blocked, fresh, post)
-        self.counters.rebuilds += 1
-        self._grow_stick()
+        self.counters.vertices_remarked += len(post) + len(rest) - len(blocked)
+        unreached = sum([len(adj[v]) for v in rest]) - sum([len(adj[a]) for a in blocked])
+        self.counters.edges_processed += unreached

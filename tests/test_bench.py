@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import incdfs.bench as bench
 from incdfs.bench import (
     ExperimentConfig,
     MetricRow,
@@ -23,7 +24,7 @@ from incdfs.core import (
     is_valid_dfs_tree,
     static_dfs,
 )
-from incdfs.generators import gen_gnm
+from incdfs.generators import GeneratorError, gen_gnm
 
 
 class TestComputePc:
@@ -55,6 +56,11 @@ class TestComputePc:
                 if classify_edge(tree, u, v, directed=False) is EdgeClass.CROSS:
                     cross += 1
         assert compute_pc(g, tree) == pytest.approx(cross / total)
+
+    def test_directed_graph_rejected(self):
+        g = Graph(3, directed=True)
+        with pytest.raises(GraphError, match="undirected"):
+            compute_pc(g, static_dfs(g))
 
     def test_complete_graph_rejected(self):
         g = Graph(3)
@@ -149,6 +155,11 @@ class TestReplayAndCsv:
         buf.seek(0)
         assert read_csv(buf) == rows
 
+    def test_csv_with_a_wrong_header_rejected(self):
+        buf = io.StringIO("m,delta\n1,2\n")
+        with pytest.raises(GeneratorError, match="unexpected CSV header"):
+            read_csv(buf)
+
     def test_pc_bounds_and_bristle_complement(self):
         cfg = ExperimentConfig(algo="adfs2", n=40, m=300, seed=5, sample_every=10)
         for r in run_experiment(cfg):
@@ -163,6 +174,19 @@ class TestReplayAndCsv:
         rows = run_experiment(cfg)
         # two batches -> two sampled rows, one rebuild per batch
         assert [r.rebuilds for r in rows] == [1, 2]
+
+    def test_dataset_read_once_for_all_trials(self, tmp_path, monkeypatch):
+        path = tmp_path / "ds.txt"
+        path.write_text("1 2\n2 3\n3 1\n1 4\n")
+        calls = []
+        load = bench.load_dataset
+        monkeypatch.setattr(bench, "load_dataset",
+                            lambda *a, **k: calls.append(a) or load(*a, **k))
+        cfg = ExperimentConfig(algo="adfs2", dataset=str(path), trials=3,
+                               sample_every=2)
+        rows = run_experiment(cfg)
+        assert len(calls) == 1
+        assert rows[:2] == rows[2:4] == rows[4:6] == rows[6:]
 
     @pytest.mark.parametrize("algo", ["fdfs", "sdfs2", "sdfs3"])
     def test_batch_with_fdfs_warns_and_falls_back(self, algo):
@@ -191,6 +215,8 @@ class TestReplayAndCsv:
             make_algorithm("fdfs", 10, "undirected")
         with pytest.raises(GraphError):
             make_algorithm("nope", 10, "undirected")
+        with pytest.raises(GraphError, match="unknown mode"):
+            make_algorithm("sdfs", 10, "bogus")
 
     @pytest.mark.parametrize("name", ["sdfs", "sdfs-int", "sdfs2"])
     def test_dag_mode_treated_as_directed(self, name):

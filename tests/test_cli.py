@@ -7,6 +7,7 @@ from incdfs import cli
 from incdfs.adfs import ADFS1, ADFS2
 from incdfs.bench import read_csv, replay
 from incdfs.cli import main
+from incdfs.core import ValidityReport
 from incdfs.generators import gen_worstcase_adfs1
 
 
@@ -136,6 +137,14 @@ class TestStreamCommand:
         assert code == 0
         assert "oracle_match=True" in out
 
+    def test_scc_mismatch_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "strong_components", lambda n, adj: [])
+        code, out, _ = run_cli(
+            capsys, "stream", "--mode", "directed", "--n", "20", "--m", "60",
+        )
+        assert code == 1
+        assert "oracle_match=False" in out
+
 
 class TestValidateCommand:
     @pytest.mark.parametrize("algo,mode", [
@@ -149,6 +158,17 @@ class TestValidateCommand:
         )
         assert code == 0
         assert out.startswith("valid:")
+
+    def test_invalid_tree_exits_1(self, capsys, monkeypatch):
+        bad = ValidityReport(False, (1, 2), "cross edge (1,2)")
+        monkeypatch.setattr(cli, "is_valid_dfs_tree", lambda graph, tree: bad)
+        code, out, err = run_cli(
+            capsys, "validate", "--algo", "sdfs", "--n", "10", "--m", "20",
+            "--sample-every", "5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "INVALID at m=5: cross edge (1,2)\n"
 
     def test_dataset_input(self, tmp_path, capsys):
         path = tmp_path / "ds.txt"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incdfs.adfs import ADFS2
-from incdfs.base import IncrementalDfs
+from incdfs.base import IncrementalDfs, star_tree
 from incdfs.bench import compute_pc, make_algorithm
 from incdfs.core import (
     ROOT,
@@ -18,6 +18,7 @@ from incdfs.core import (
     Graph,
     GraphError,
     classify_edge,
+    extend_stick,
     is_valid_dfs_tree,
     lca,
     path_below,
@@ -140,6 +141,11 @@ class TestGraph:
         with pytest.raises(GraphError, match="non-integer vertex count"):
             Graph(n)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_vertex_count_below_one_rejected(self, n):
+        with pytest.raises(GraphError, match="at least one real vertex"):
+            Graph(n)
+
     def test_numpy_vertex_count_stored_as_python_int(self):
         assert type(Graph(np.int64(3)).n) is int
 
@@ -251,20 +257,23 @@ def test_float_endpoints_rejected_before_duplicate_check(name, mode):
 
 @pytest.mark.parametrize("name,mode", ALGO_MODES)
 def test_out_of_range_self_loop_rejected(name, mode):
-    # the range check covers self loops too, on both insert paths; a batch
-    # that ends in one takes back the edges it had added, whether or not
-    # the adjacency lists were built
+    # the range check covers self loops and other edges alike, on both
+    # insert paths: an edge at the pseudo root is no real edge, and an id
+    # past n raises before the graph grows; a batch that ends in one takes
+    # back the edges it had added, whether or not the adjacency lists were
+    # built
     algo = make_algorithm(name, 5, mode)
     algo.insert(1, 2)
     before = (_tree_state(algo), algo.graph.real_edges())
-    for v in (0, 6, 7, -1):
+    for u, v in ((0, 0), (6, 6), (7, 7), (-1, -1),
+                 (0, 2), (2, 0), (1, 6), (6, 1), (-1, 2)):
         with pytest.raises(GraphError):
-            algo.insert(v, v)
+            algo.insert(u, v)
         if algo.supports_batch:
             with pytest.raises(GraphError):
-                algo.insert_batch([(v, v)])
+                algo.insert_batch([(u, v)])
             with pytest.raises(GraphError):
-                algo.insert_batch([(1, 4), (4, 5), (3, 5), (v, v)])
+                algo.insert_batch([(1, 4), (4, 5), (3, 5), (u, v)])
     assert (_tree_state(algo), algo.graph.real_edges()) == before
     twin = make_algorithm(name, 5, mode)
     twin.insert(1, 2)
@@ -925,6 +934,39 @@ class TestStickProfile:
         p = stick_profile(static_dfs(g))
         assert p.l_s + p.bristle == n
         assert 0 <= p.l_s < n
+
+
+class TestExtendStick:
+    def test_resumes_at_a_bristle_root_with_one_child(self):
+        # 1 was the bristle root of 1 -> {2, 3}; a repair left it one child
+        t = tree_from_parents(4, {1: ROOT, 2: 1, 3: 2, 4: 3})
+        stick = []
+        assert extend_stick(t.children, stick, 1) == 4
+        assert stick == [1, 2, 3]
+
+    def test_root_with_one_child_never_joins(self):
+        t = tree_from_parents(3, {1: ROOT, 2: 1, 3: 1})
+        stick = []
+        assert extend_stick(t.children, stick, ROOT) == 1
+        assert stick == []
+
+    @pytest.mark.parametrize("parents,cur", [
+        ({1: ROOT, 2: 1, 3: 2}, 3),  # a leaf
+        ({1: ROOT, 2: 1, 3: 2, 4: 2}, 2),  # two children
+        ({1: ROOT, 2: 1, 3: 1, 4: 1}, 1),  # three children
+        ({1: ROOT, 2: ROOT}, ROOT),
+    ])
+    def test_branching_or_leaf_bristle_root_kept(self, parents, cur):
+        t = tree_from_parents(len(parents), parents)
+        stick = [7]
+        assert extend_stick(t.children, stick, cur) == cur
+        assert stick == [7]
+
+    @pytest.mark.parametrize("n,root", [(1, 1), (3, ROOT)])
+    def test_star_tree(self, n, root):
+        stick = []
+        assert extend_stick(star_tree(n).children, stick, ROOT) == root
+        assert stick == []
 
 
 class TestDfnInvariants:

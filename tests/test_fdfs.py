@@ -159,6 +159,13 @@ class TestCandidateSet:
         with pytest.raises(GraphError, match="out of range"):
             algo.candidate_set(x, y)
 
+    @pytest.mark.parametrize("x,y", [(2, 1), (4, 2), (3, 3)])
+    def test_rank_order_is_required(self, x, y):
+        # the star tree ranks every real vertex by its id
+        algo = FdfsState(4, mode="directed")
+        with pytest.raises(GraphError, match=r"dfn\(x\) < dfn\(y\)"):
+            algo.candidate_set(x, y)
+
     def test_undirected_sdfs3_is_rejected(self):
         # undirected sdfs3 keeps no rank index
         with pytest.raises(GraphError, match="directed and dag"):

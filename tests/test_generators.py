@@ -113,6 +113,10 @@ class TestGnm:
         with pytest.raises(GeneratorError):
             gen_gnm(10, 46, seed=0)
 
+    def test_unknown_mode(self):
+        with pytest.raises(GeneratorError, match="unknown mode 'bogus'"):
+            gen_gnm(10, 5, seed=0, mode="bogus")
+
     @pytest.mark.parametrize("n, m, seed, mode", [
         (-3, 0, 0, "undirected"), (0, 0, 0, "undirected"),
         (-5, 0, 0, "directed"), (0, 0, 0, "dag"), (5, 3, -1, "undirected"),
@@ -331,6 +335,11 @@ class TestWorstcaseSdfs3:
         with pytest.raises(GeneratorError, match="infeasible"):
             gen_worstcase_sdfs3(5, 8)
 
+    @pytest.mark.parametrize("n,m", [(5, 4), (5, 11)])
+    def test_m_outside_n_to_n_choose_2_rejected(self, n, m):
+        with pytest.raises(GeneratorError, match=r"infeasible: need n <= m <= n\(n-1\)/2"):
+            gen_worstcase_sdfs3(n, m)
+
 
 class TestDataset:
     def test_roundtrip_with_timestamps(self, tmp_path):
@@ -382,6 +391,23 @@ class TestDataset:
         with pytest.raises(GeneratorError, match=":2"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("text,where", [
+        ("1 2\n# note\n3 x\n", ":3: invalid literal"),
+        ("1 2.5 7\n", ":1: invalid literal"),
+    ])
+    def test_non_integer_vertex_reports_position(self, tmp_path, text, where):
+        p = tmp_path / "ds.txt"
+        p.write_text(text)
+        with pytest.raises(GeneratorError, match=where):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n", "3 3\n"])
+    def test_empty_dataset_rejected(self, tmp_path, text):
+        p = tmp_path / "ds.txt"
+        p.write_text(text)
+        with pytest.raises(GeneratorError, match="empty dataset"):
+            load_dataset(p)
+
     def test_mixed_timestamp_columns_rejected(self, tmp_path):
         # either column count first: the first line that differs is named
         p = tmp_path / "ds.txt"
@@ -402,6 +428,14 @@ class TestUpdateSequence:
     def test_dag_requires_directed(self):
         with pytest.raises(GeneratorError):
             UpdateSequence(3, False, True, [], "x")
+
+    def test_batch_id_length_must_match(self):
+        with pytest.raises(GeneratorError, match="batch_id length"):
+            UpdateSequence(3, False, False, [(1, 2), (2, 3)], "x", batch_id=[0])
+
+    def test_no_batch_ids_single_edge_batches(self):
+        seq = UpdateSequence(3, False, False, [(1, 2), (2, 3)], "x")
+        assert list(batches(seq)) == [[(1, 2)], [(2, 3)]]
 
     def test_batch_grouping(self):
         seq = UpdateSequence(
