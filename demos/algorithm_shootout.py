@@ -6,20 +6,20 @@ numbers below are exactly reproducible.
 
 Run:  python3 demos/algorithm_shootout.py
 """
-from incdfs import ALGORITHM_NAMES, gen_gnm, is_valid_dfs_tree, make_algorithm
+from incdfs import ALGORITHM_NAMES, GraphError, gen_gnm, is_valid_dfs_tree, make_algorithm
 
 n = 100  # kept small: sdfs is charged a full rescan per insert
 m = n * (n - 1) // 2
 
 
 def shootout(mode):
-    seq = gen_gnm(n, m if mode == "undirected" else m, seed=1, mode=mode)
+    seq = gen_gnm(n, m, seed=1, mode=mode)
     print(f"\n-- {mode} (n={n}, m={len(seq.edges)}) --")
     print(f"{'algorithm':>10} {'edges_processed':>16} {'rebuilds':>9} {'per insert':>11}")
     for name in ALGORITHM_NAMES:
         try:
             algo = make_algorithm(name, n, mode)
-        except Exception:
+        except GraphError:
             continue  # not applicable to this graph class
         for u, v in seq.edges:
             algo.insert(u, v)

@@ -350,29 +350,30 @@ def static_dfs(
     counters: Counters | None = None,
     interrupt: bool = False,
 ) -> DfsTree:
-    """Full DFS of the graph from the pseudo root.
+    """DFS of the graph from the pseudo root.
 
     Children are appended in adjacency-scan order and dfn is assigned in
     post-order, so the result is deterministic for a fixed adjacency order.
-    With interrupt=True the scan stops as soon as the last vertex is
-    discovered (the naive-with-interrupt baseline); the vertices still on
-    the stack then finish in stack order, which yields the same tree and
-    dfn as the full DFS.
+    The scan stops as soon as the last vertex is discovered; the vertices
+    still on the stack then finish in stack order, which yields the same
+    tree and dfn as a scan of every entry.  Both naive baselines run this
+    one walk and differ only in what they are charged.
 
     start and restrict_to are positional slots only: the DFS always runs
     from ROOT over the whole graph, and any other value raises GraphError.
 
     counters, when given, receives the edges_processed charge: one per
     scanned out-entry (directed) or one per edge (undirected; the second
-    scan of an edge, from its other endpoint, is free).  A full DFS scans
-    every entry, so it charges exactly n + m in both modes.  An interrupted
-    DFS charges only the entries it reached: a directed one n + m minus the
-    entries left in the iterators on the stack, an undirected one n tree
-    edges plus the back edges scanned from their descendant end.  An
-    undirected DFS has no cross edges, so a visited neighbour w of u is an
-    ancestor of u on the stack or a finished descendant; the parent is the
-    only ancestor at depth(u) - 1, so w closes a back edge seen from its
-    descendant end exactly when depth(w) < depth(u) - 1.
+    scan of an edge, from its other endpoint, is free).  By default it
+    prices the full scan of every entry: n + m in both modes.  With
+    interrupt=True (the naive-with-interrupt baseline) it prices only the
+    entries reached: directed, n + m minus the entries left in the
+    iterators on the stack; undirected, n tree edges plus the back edges
+    scanned from their descendant end.  An undirected DFS has no cross
+    edges, so a visited neighbour w of u is an ancestor of u on the stack
+    or a finished descendant; the parent is the only ancestor at
+    depth(u) - 1, so w closes a back edge seen from its descendant end
+    exactly when depth(w) < depth(u) - 1.
     """
     if start != ROOT or restrict_to is not None:
         raise GraphError("static_dfs runs from the pseudo root over the whole graph")
@@ -396,7 +397,7 @@ def static_dfs(
     pd = -1  # depth(u) - 1, u the vertex on top of the stack
     rank = 1
     back = 0
-    while its:
+    while left:
         u = verts[-1]
         for w in its[-1]:
             if not visited[w]:
@@ -418,19 +419,15 @@ def static_dfs(
             dfn[u] = rank
             rank += 1
             pd -= 1
-            continue
-        if interrupt and not left:
-            break
-    charge = n + graph.m
-    if its:
-        # interrupted: charge what was reached, then finish the stack
-        if count_back:
-            charge = n + back
-        else:
-            charge -= sum(map(length_hint, its))
-        for u in reversed(verts):
-            dfn[u] = rank
-            rank += 1
+    if count_back:
+        charge = n + back
+    elif interrupt:
+        charge = n + graph.m - sum(map(length_hint, its))
+    else:
+        charge = n + graph.m
+    for u in reversed(verts):
+        dfn[u] = rank
+        rank += 1
     tree.dfn_valid = True
     if counters is not None:
         counters.edges_processed += charge

@@ -1,10 +1,10 @@
 """Baseline maintainers that answer every insertion with a full-DFS tree.
 
-SDFS's tree is the one a full DFS from the pseudo root gives.  SDFSInt's
-DFS abandons the scan as soon as every vertex has been visited, which on
-random inputs skips most of the adjacency lists of the late-discovered
-vertices; it yields the same tree and dfn.  Batch insertion runs one DFS
-per batch for both.
+Both keep the tree a DFS from the pseudo root gives and run the same
+static_dfs walk, which stops once every vertex has been visited.  They
+differ only in the charge, which prices a naive rerun, as it does for a
+kept tree: SDFS a scan of every entry, SDFSInt only what the walk
+scanned.  Batch insertion runs one DFS per batch for both.
 
 Rebuild test.  static_dfs scans adjacency lists in insertion order and a
 new edge (u, v) sits at the end of its lists, so a rerun repeats the old
@@ -25,7 +25,7 @@ again from the root: O(l_s) against the rerun's O(n + m).  No edge is
 forgotten, so discarded_edges stays 0.
 
 Charges for a kept tree, in closed form.  The cost counter prices the DFS
-a naive rebuild would run.  sdfs: a full DFS charges n + m.  sdfs-int:
+a naive rebuild would run.  sdfs: a full scan charges n + m.  sdfs-int:
 its DFS stops right after it discovers L, the last vertex in preorder,
 and charges what it scanned before that.  The scanning end s of the new
 edge (u when directed, the deeper endpoint when undirected) is finished
@@ -50,7 +50,7 @@ class SDFS(IncrementalDfs):
         super().__init__(n, directed)
         # what the base class's uncharged DFS would charge, for a kept
         # tree's charge to build on: with no real edge, the full and the
-        # interrupted DFS both charge the root's n entries
+        # interrupted charge are both the root's n entries
         self._charge = self.n
 
     def _rebuild(self):

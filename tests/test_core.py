@@ -1,6 +1,7 @@
 import copy
 import random
 import time
+from operator import length_hint
 
 import numpy as np
 import pytest
@@ -404,6 +405,35 @@ def test_stream_cores_never_build_adjacency(directed):
     assert st.core.graph._out_adj is None
 
 
+def count_scans(graph):
+    """Wrap the graph's adjacency lists so that their iterators count the
+    entries they yield; returns the one-item tally."""
+    tally = [0]
+
+    class CountedIter:
+        def __init__(self, it):
+            self.it = it
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            w = next(self.it)
+            tally[0] += 1
+            return w
+
+        def __length_hint__(self):
+            return length_hint(self.it)
+
+    class CountedList(list):
+        def __iter__(self):
+            return CountedIter(super().__iter__())
+
+    adj = graph.out_adj
+    adj[:] = [CountedList(a) for a in adj]
+    return tally
+
+
 class TestStaticDfs:
     def test_chain_is_unique_spanning_structure(self):
         g = chain_graph(3)
@@ -490,6 +520,27 @@ class TestStaticDfs:
         assert t.dfn == ref.dfn
         assert t.dfn_valid == ref.dfn_valid
         assert c.edges_processed == charge
+
+    @pytest.mark.parametrize("mode", ["undirected", "directed"])
+    def test_one_walk_for_both_charges(self, mode):
+        # both charge models run the walk that stops at the last discovery,
+        # which on a dense graph leaves entries unscanned; only the charge
+        # differs, and it is the reference's
+        seq = gen_gnm(60, 1000, seed=1, mode=mode)
+        g = Graph(seq.n, directed=mode == "directed")
+        for u, v in seq.edges:
+            g.add_edge(u, v)
+        held = sum(map(len, g.out_adj))
+        assert held == (g.n + g.m) * (1 if g.directed else 2)
+        scanned = []
+        for interrupt in (False, True):
+            charge = reference_static_dfs(g, interrupt=interrupt)[1]
+            tally = count_scans(g)
+            c = Counters()
+            static_dfs(g, counters=c, interrupt=interrupt)
+            assert c.edges_processed == charge
+            scanned.append(tally[0])
+        assert scanned[0] == scanned[1] < held
 
 
 class TestClassifyEdge:

@@ -37,7 +37,8 @@ from incdfs.generators import (
 
 K = 2.0
 
-# maintainer and mode replayed on full-density gen_gnm at n = 128 and 512
+# maintainer and mode replayed on gen_gnm at n = 128 and 512, at full
+# density and at m = 4n
 GNM_CASES = [
     ("adfs1", "undirected"), ("adfs2", "undirected"),
     ("sdfs2", "undirected"), ("sdfs2", "directed"),
@@ -109,14 +110,42 @@ def _assert_bounded(label, small, large):
         f"{r1:.3f} ({s1}) -> {r2:.3f} ({s2})")
 
 
-@pytest.mark.parametrize("name,mode", GNM_CASES)
-def test_uncharged_steps_per_unit_on_full_gnm(monkeypatch, name, mode):
+def _gnm_ratios(monkeypatch, name, mode, edges_at):
     ratios = []
     for n in (128, 512):
-        m = n * (n - 1) if mode == "directed" else n * (n - 1) // 2
-        seq = gen_gnm(n, m, seed=0, mode=mode)
+        seq = gen_gnm(n, edges_at(n), seed=0, mode=mode)
         ratios.append(_steps_per_unit(monkeypatch, make_algorithm(name, n, mode), seq.edges))
+    return ratios
+
+
+@pytest.mark.parametrize("name,mode", GNM_CASES)
+def test_uncharged_steps_per_unit_on_full_gnm(monkeypatch, name, mode):
+    ordered = 1 if mode == "directed" else 2
+    ratios = _gnm_ratios(monkeypatch, name, mode, lambda n: n * (n - 1) // ordered)
     _assert_bounded(f"{name} {mode}", *ratios)
+
+
+# At m = 4n the trees are deep and lca walks across them, while ADFS
+# charges about one unit per insertion; nearly all the steps below are
+# lca's.  A fix needs ancestry ranks that a re-hang keeps.  strict: once
+# a case is fixed, its mark must go.
+_SPARSE_LCA = {
+    ("adfs1", "undirected"): "adfs1 17.32 -> 67.74 steps per unit (x3.91)",
+    ("adfs2", "undirected"): "adfs2 18.96 -> 66.95 steps per unit (x3.53)",
+    ("sdfs3", "undirected"): "undirected sdfs3 5.55 -> 15.38 steps per unit (x2.77)",
+}
+SPARSE_CASES = [
+    pytest.param(*case, marks=pytest.mark.xfail(
+        strict=True, reason=f"lca walk on sparse gen_gnm: {_SPARSE_LCA[case]}"))
+    if case in _SPARSE_LCA else case
+    for case in GNM_CASES
+]
+
+
+@pytest.mark.parametrize("name,mode", SPARSE_CASES)
+def test_uncharged_steps_per_unit_on_sparse_gnm(monkeypatch, name, mode):
+    ratios = _gnm_ratios(monkeypatch, name, mode, lambda n: 4 * n)
+    _assert_bounded(f"{name} {mode} at m = 4n", *ratios)
 
 
 # adfs1's adversarial pool order pops back edges whose endpoints lie far
