@@ -2,7 +2,7 @@
 and the one stick view they all read (IncrementalDfs)."""
 from __future__ import annotations
 
-from .core import ROOT, Counters, DfsTree, Graph, extend_stick
+from .core import ROOT, Counters, CycleError, DfsTree, Graph, GraphError, extend_stick
 
 
 def star_tree(n: int) -> DfsTree:
@@ -32,11 +32,10 @@ class IncrementalDfs:
     vertex is an ancestor of every other vertex except the stick vertices
     above it, so an edge with a marked endpoint is a back or forward edge
     and can never invalidate the tree: every maintainer tests the marks
-    before it walks for ancestry.  Repairs sit at or below the bristle
-    root, so a maintainer that repairs in place calls _grow_stick after
-    each repair; one that replaces its tree calls _reset_stick.  _prune(q)
-    drops the edges a maintainer stores on q once q joined; the default
-    stores none.
+    before it walks for ancestry.  The stick only grows (a repair sits at
+    or below the bristle root, an sdfs rerun keeps it), so every
+    maintainer calls _grow_stick after each repair.  _prune(q) drops the
+    edges a maintainer stores on q once q joined; the default stores none.
     """
 
     name = "base"
@@ -49,7 +48,6 @@ class IncrementalDfs:
         self.discarded_edges = 0
         self.on_stick = bytearray(self.graph.n + 1)
         self.stick: list[int] = []
-        # the star tree has no stick proper: this only sets bristle_root
         self.bristle_root = extend_stick(self.tree.children, self.stick, ROOT)
 
     @property
@@ -66,22 +64,30 @@ class IncrementalDfs:
         Duplicate edges (and self loops) are ignored and return False.
         Both checks run on the normalised endpoints (Graph.add_new_edge),
         so the maintainers see Python ints and a non-integer endpoint
-        raises GraphError.
+        raises GraphError.  A maintainer rejects an insertion by raising
+        CycleError before it changes anything, and insert takes the edge
+        back; any other exception poisons the maintainer (_poison).
         """
         edge = self.graph.add_new_edge(u, v)
         if edge is None:
             return False
+        try:
+            self._apply(*edge)
+        except CycleError:
+            self.graph.remove_edge(*edge)
+            raise
+        except BaseException as exc:
+            self._poison(exc)
+            raise
         self.counters.insertions += 1
-        self._apply(*edge)
         return True
 
     def insert_batch(self, edges) -> int:
         """Insert a group of edges, restoring the invariant once at the end.
 
-        If adding an edge raises, the edges of the batch already added are
-        taken back, last first (Graph.remove_edge), which restores the
-        graph exactly, and the exception propagates with the tree and the
-        counters untouched.
+        If adding an edge raises, the batch's edges already added are taken
+        back, last first, and the exception propagates with nothing changed;
+        a repair that raises poisons the maintainer, as in insert.
         """
         if not self.supports_batch:
             raise NotImplementedError(f"{self.name} has no batch mode")
@@ -98,8 +104,12 @@ class IncrementalDfs:
                 graph.remove_edge(*edge)
             raise
         if fresh:
+            try:
+                self._apply_batch(fresh)
+            except BaseException as exc:
+                self._poison(exc)
+                raise
             self.counters.insertions += len(fresh)
-            self._apply_batch(fresh)
         return len(fresh)
 
     def _apply(self, u, v):
@@ -116,13 +126,14 @@ class IncrementalDfs:
         for q in joined:
             self._prune(q)
 
-    def _reset_stick(self):
-        """Walk the stick view of a new tree down from the root."""
-        for q in self.stick:
-            self.on_stick[q] = 0
-        self.stick = []
-        self.bristle_root = ROOT
-        self._grow_stick()
+    def _poison(self, exc):
+        """Refuse every later insertion, naming exc, the first failure."""
+        msg = f"{self.name} is unusable: an earlier insertion raised {exc!r}"
+
+        def refuse(*args, **kwargs):
+            raise GraphError(msg)
+
+        self.insert = self.insert_batch = refuse
 
     def _prune(self, q):
         pass

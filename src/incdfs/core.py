@@ -23,6 +23,10 @@ class GraphError(ValueError):
     """Raised for malformed graph operations (self-loop, duplicate, range)."""
 
 
+class CycleError(GraphError):
+    """Raised in dag mode when an insertion would create a cycle."""
+
+
 class EdgeClass(enum.Enum):
     TREE = "tree"
     BACK = "back"
@@ -162,9 +166,8 @@ class Graph:
         return edge
 
     def remove_edge(self, u: int, v: int):
-        """Take back (u, v), which must be the last edge added: fdfs's
-        cycle rejection and insert_batch's rollback undo an insertion with
-        it.  Any other edge raises GraphError and changes nothing."""
+        """Take back (u, v), the last edge added; IncrementalDfs undoes an
+        insertion with it.  Any other edge raises GraphError, changing nothing."""
         key = self._key(u, v)
         eindex = self._eindex
         if not eindex or next(reversed(eindex)) != key:
@@ -602,17 +605,14 @@ def is_valid_dfs_tree(graph: Graph, tree: DfsTree) -> ValidityReport:
 
 def extend_stick(children, stick, cur) -> int:
     """Walk the stick down from cur, the bristle root before the latest
-    repair (ROOT for a new tree), append each real vertex it leaves to
+    repair (ROOT for the star tree), append each real vertex it leaves to
     stick, the stick proper listed top down, and return the bristle root.
 
-    The stick is the maximal unbranched chain below the root: walking down
-    while every vertex (including the root) has exactly one child.  The
-    first vertex with 0 or >= 2 children is the bristle root; the real
-    vertices strictly between the root and it are the stick proper.  Under
-    edge insertions the stick proper only grows, because re-hangs and
-    bristle rebuilds happen at or below the bristle root, so the walk
-    resumes there; a bristle root that still branches (or is a leaf) costs
-    one child-count test.  The vertices that joined are the ones appended.
+    The stick is the maximal unbranched chain below the root: the first
+    vertex (the root included) with 0 or >= 2 children is the bristle
+    root, and the real vertices above it are the stick proper.  Under edge
+    insertions it only grows (base.IncrementalDfs), so the walk resumes at
+    the old bristle root, where a branch or a leaf costs one test.
     """
     kids = children[cur]
     while len(kids) == 1:

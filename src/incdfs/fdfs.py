@@ -7,10 +7,10 @@ on the stick (base.IncrementalDfs's view) is an ancestor of x: the edge
 is a back edge, taken with w = y and no ancestry walk.  Any other edge
 is tested with lca; a back edge is stored, and in dag mode rejected as a
 cycle.  What is left is an anti-cross edge, repaired in phases; sdfs3's
-directed modes run this same repair and only charge differently.  The
-repair changes the tree only at or below w, which sits at or below the
-bristle root, so the stick only grows: the marks grow after each repair.
-No edge is forgotten, so discarded_edges stays 0.
+directed modes run this same repair and only charge differently.  It
+changes the tree only at or below w, which sits at or below the bristle
+root, so the marks grow after each repair.  No edge is forgotten, so
+discarded_edges stays 0.
 
 Candidate set: vertices with dfn in (dfn(x), hi], excluding the proper
 ancestors of x below w = lca(x, y) (the blocked ancestors), where
@@ -22,10 +22,10 @@ Phase 1 is core.restricted_dfs from y over the candidates into scratch
 mappings, charging every out-entry of the reached vertices in closed form.
 In dag mode x and its blocked ancestors are fresh as well: the DFS
 entering any of them means y reaches x, so the insertion closes a cycle
-and is rejected with CycleError before anything is written.  A rejected
-insertion leaves the graph, the tree, dfn, dfn_index and all four
-counters exactly as before the call.  The splice then hangs the reached
-vertices from (x, y) as the subtree of y.
+and raises CycleError, as a dag back edge does, before anything is
+written or charged (_apply charges its unit last); insert takes the edge
+back.  The splice then hangs the reached vertices from (x, y) as the
+subtree of y.
 
 Only the block dfn_index[lo : hi + 1] is renumbered, lo = dfn(x):
 - A candidate's old subtree lies inside (lo, hi]: its ranks are
@@ -45,21 +45,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .base import IncrementalDfs
-from .core import GraphError, lca, path_below, restricted_dfs
-
-
-class CycleError(GraphError):
-    """Raised in dag mode when an insertion would create a cycle."""
-
-
-def reject(algo, x, y):
-    """Take back the insertion (x, y), which closes a cycle, and raise
-    CycleError.  Callers reject before touching the tree or any counter
-    except the insertion's own edges_processed unit, which goes back too."""
-    algo.graph.remove_edge(x, y)
-    algo.counters.insertions -= 1
-    algo.counters.edges_processed -= 1
-    raise CycleError(f"insertion ({x},{y}) closes a cycle")
+from .core import CycleError, GraphError, lca, path_below, restricted_dfs
 
 
 class FdfsState(IncrementalDfs):
@@ -108,17 +94,15 @@ class FdfsState(IncrementalDfs):
 
     def _apply(self, x, y):
         tree = self.tree
+        # dfn(x) >= dfn(y): stored; a marked y is an ancestor of x, which
+        # finished before it; w == y: a back edge, y reaches x in the tree
+        if tree.dfn[x] < tree.dfn[y]:
+            w = y if self.on_stick[y] else lca(tree, x, y)
+            if w != y:
+                self._rebuild(x, y, w)
+            elif self.mode == "dag":
+                raise CycleError(f"insertion ({x},{y}) closes a cycle")
         self.counters.edges_processed += 1
-        if tree.dfn[x] >= tree.dfn[y]:
-            return  # back/forward/cross for the maintained order: stored
-        # a marked y is an ancestor of x, which finished before it
-        w = y if self.on_stick[y] else lca(tree, x, y)
-        if w == y:
-            # back edge: y already reaches x through the tree
-            if self.mode == "dag":
-                reject(self, x, y)
-            return
-        self._rebuild(x, y, w)
 
     def _rebuild(self, x, y, w):
         tree = self.tree
@@ -141,7 +125,7 @@ class FdfsState(IncrementalDfs):
         new_children = defaultdict(list)
         post = restricted_dfs(adj, y, fresh, new_parent, {y: 0}, new_children)
         if dag and not (fresh[x] and all(map(fresh.__getitem__, blocked))):
-            reject(self, x, y)
+            raise CycleError(f"insertion ({x},{y}) closes a cycle")
         for a in blocked:
             fresh[a] = True
         rest = [v for v in block if fresh[v]]

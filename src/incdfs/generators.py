@@ -42,16 +42,16 @@ def _edge_universe(n: int, mode: str, rng=None):
     """Endpoint arrays of the full edge universe for the given mode."""
     if mode == "undirected":
         iu, iv = np.triu_indices(n, 1)
-        return iu + 1, iv + 1, None
+        return iu + 1, iv + 1
     if mode == "directed":
         iu, iv = np.where(~np.eye(n, dtype=bool))
-        return iu + 1, iv + 1, None
+        return iu + 1, iv + 1
     if mode == "dag":
         # orient every pair from lower to higher rank in a random
         # topological permutation of the vertices
         order = rng.permutation(n) + 1
         iu, iv = np.triu_indices(n, 1)
-        return order[iu], order[iv], order
+        return order[iu], order[iv]
     raise GeneratorError(f"unknown mode {mode!r}")
 
 
@@ -79,7 +79,7 @@ def gen_gnm(n: int, m: int, seed: int, mode: str = "undirected") -> UpdateSequen
     """First m edges of a uniformly random permutation of the edge universe."""
     n, m, seed = _ints(n=n, m=m, seed=seed)
     rng = _rng(n, seed)
-    eu, ev, order = _edge_universe(n, mode, rng)
+    eu, ev = _edge_universe(n, mode, rng)
     if not (0 <= m <= len(eu)):
         raise GeneratorError(f"m={m} out of range [0, {len(eu)}] for mode {mode}")
     perm = rng.permutation(len(eu))[:m]
@@ -100,7 +100,7 @@ def gen_gnp(n: int, p: float, seed: int) -> UpdateSequence:
         raise GeneratorError(f"invalid probability {p}")
     n, seed = _ints(n=n, seed=seed)
     rng = _rng(n, seed)
-    eu, ev, _ = _edge_universe(n, "undirected")
+    eu, ev = _edge_universe(n, "undirected")
     keep = rng.random(len(eu)) < p
     eu, ev = eu[keep], ev[keep]
     perm = rng.permutation(len(eu))

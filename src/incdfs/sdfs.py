@@ -19,10 +19,16 @@ entry while the other is still unvisited.  Only a cross or anti-cross
 edge (core.violates) reruns static_dfs; any other edge keeps the tree,
 which is the DFS's result exactly.  An edge with an endpoint on the
 stick (base.IncrementalDfs's view) is a back or forward edge, so it
-skips violates and its ancestry walk.  A rerun may change the whole
-tree, so after each one (a batch's too) the marks are cleared and walked
-again from the root: O(l_s) against the rerun's O(n + m).  No edge is
-forgotten, so discarded_edges stays 0.
+skips violates and its ancestry walk.  No edge is forgotten, so
+discarded_edges stays 0.
+
+After each rerun (a batch's too, both modes, both charges) the marks
+grow from the old bristle root b.  Every new entry is scanned after b is
+discovered (an off-stick vertex is discovered at or after b, a stick
+vertex's new entry sits behind its child's subtree, which holds b), so
+each stick vertex q discovers its only child c with the same vertices
+unvisited.  By the white-path theorem c's subtree is all that c reaches
+through them, still everything below q: the old stick is a prefix.
 
 Charges for a kept tree, in closed form.  The cost counter prices the DFS
 a naive rebuild would run.  sdfs: a full scan charges n + m.  sdfs-int:
@@ -48,9 +54,7 @@ class SDFS(IncrementalDfs):
 
     def __init__(self, n: int, directed: bool = False):
         super().__init__(n, directed)
-        # what the base class's uncharged DFS would charge, for a kept
-        # tree's charge to build on: with no real edge, the full and the
-        # interrupted charge are both the root's n entries
+        # a kept tree's charge builds on the star tree's: n in both modes
         self._charge = self.n
 
     def _rebuild(self):
@@ -59,7 +63,7 @@ class SDFS(IncrementalDfs):
         self.tree = static_dfs(self.graph, counters=counters, interrupt=self.interrupt)
         self._charge = counters.edges_processed - before
         counters.rebuilds += 1
-        self._reset_stick()
+        self._grow_stick()
 
     def _apply(self, u, v):
         tree = self.tree

@@ -20,8 +20,8 @@ of member entries that point at a member.  dfn is left stale.
 
 Directed and dag modes are fdfs's repair with sdfs3's charge: only
 FdfsState._charge is overridden.  They share its candidate interval, its
-phase 1 (the restricted DFS from y, with the dag tripwires and the reject
-test), its splice and its renumbering.  The simple algorithm then
+phase 1 (the restricted DFS from y, with the dag tripwires and the
+rejection test), its splice and its renumbering.  The simple algorithm then
 re-traverses every candidate subtree phase 1 did not reach, from its root
 in old rank order, re-hung in place.  That re-traversal gives back the
 tree it starts from, so it is not run:

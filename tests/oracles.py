@@ -422,8 +422,7 @@ class ReferenceSdfs2(Sdfs2State):
 
 
 def _reject_reference(algo, x, y):
-    algo.graph.remove_edge(x, y)
-    algo.counters.insertions -= 1
+    """IncrementalDfs.insert takes the edge back out of the graph."""
     raise CycleError(f"insertion ({x},{y}) closes a cycle")
 
 

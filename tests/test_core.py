@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from incdfs.adfs import ADFS2
+import incdfs.fdfs
+from incdfs.adfs import ADFS2, AdfsState
 from incdfs.base import IncrementalDfs, star_tree
 from incdfs.bench import compute_pc, make_algorithm
 from incdfs.core import (
     ROOT,
     Counters,
+    CycleError,
     DfsTree,
     EdgeClass,
     Graph,
@@ -1066,3 +1068,62 @@ class TestCounters:
         before = c.edges_processed
         static_dfs(g, counters=c)
         assert c.edges_processed >= before
+
+
+class _Rejecting(IncrementalDfs):
+    """Charges one unit per accepted insertion and leaves the tree alone;
+    once rejecting is set, raises CycleError before changing anything, as
+    fdfs does in dag mode."""
+
+    rejecting = False
+
+    def _apply(self, u, v):
+        if self.rejecting:
+            raise CycleError(f"insertion ({u},{v}) closes a cycle")
+        self.counters.edges_processed += 1
+
+
+class TestInsertSeam:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_insert_takes_a_rejected_edge_back(self, directed):
+        algo = _Rejecting(6, directed=directed)
+        for e in ((1, 2), (2, 3), (4, 5)):
+            assert algo.insert(*e)
+        before = state_snapshot(algo)
+        algo.rejecting = True
+        with pytest.raises(CycleError):
+            algo.insert(3, 1)
+        assert state_snapshot(algo) == before
+        assert not algo.graph.has_edge(3, 1)
+        # a rejection is no failure: the maintainer stays usable
+        algo.rejecting = False
+        assert algo.insert(3, 1)
+        assert algo.counters.insertions == 4
+
+    @pytest.mark.parametrize("name,mode,owner,attr,batch", [
+        ("fdfs", "directed", incdfs.fdfs, "restricted_dfs", False),
+        ("adfs1", "undirected", AdfsState, "_rehang", False),
+        ("adfs1", "undirected", AdfsState, "_rehang", True),
+    ])
+    def test_failed_repair_poisons_the_maintainer(self, monkeypatch, name, mode, owner, attr, batch):
+        # the failed insertion leaves its edge in the graph and the tree
+        # possibly half repaired, so every later insertion is refused
+        seq = gen_gnm(20, 60, seed=1, mode=mode)
+        algo = make_algorithm(name, seq.n, mode)
+
+        def fail(*args):
+            raise RuntimeError("injected repair failure")
+
+        monkeypatch.setattr(owner, attr, fail)
+        with pytest.raises(RuntimeError):
+            if batch:
+                algo.insert_batch(seq.edges[:30])
+            else:
+                algo.insert(*seq.edges[0])
+        monkeypatch.undo()
+        with pytest.raises(GraphError, match="injected repair failure"):
+            algo.insert(*seq.edges[40])
+        with pytest.raises(GraphError, match="injected repair failure"):
+            algo.insert_batch(seq.edges[41:])
+        # only this instance is refused
+        assert make_algorithm(name, seq.n, mode).insert(*seq.edges[0])

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incdfs.sdfs
-from incdfs.core import EdgeClass, classify_edge, is_valid_dfs_tree
+from incdfs.core import ROOT, EdgeClass, classify_edge, is_valid_dfs_tree, stick_profile
 from incdfs.generators import gen_gnm, gen_worstcase_fdfs, gen_worstcase_sdfs3
 from incdfs.sdfs import SDFS, SDFSInt
 from oracles import ReferenceSdfs, ReferenceSdfsInt, reference_static_dfs
@@ -192,3 +192,44 @@ def test_reruns_static_dfs_only_for_cross_and_anti_cross_edges(monkeypatch, algo
         algo.insert(u, v)
     assert len(calls) == changing
     assert algo.counters.rebuilds == 101
+
+
+@pytest.mark.parametrize("algo_cls", [SDFS, SDFSInt])
+@pytest.mark.parametrize("kind", ["undirected", "directed", "worstcase_fdfs"])
+@pytest.mark.parametrize("batched", [False, True], ids=["per-edge", "batch-prefix"])
+def test_rerun_grows_the_stick_in_place(algo_cls, kind, batched):
+    # a rerun keeps the old stick as a prefix, so the view only grows: the
+    # same list object, its old contents a prefix of the new, and marks
+    # equal to a fresh walk down from the root
+    if kind == "worstcase_fdfs":
+        seq = gen_worstcase_fdfs(200, 4000)
+    else:
+        seq = gen_gnm(100, 1500 if kind == "undirected" else 3000, seed=2, mode=kind)
+    algo = algo_cls(seq.n, directed=seq.directed)
+    stick = algo.stick
+
+    def check(old):
+        assert algo.stick is stick
+        assert stick[: len(old)] == old
+        prof = stick_profile(algo.tree)
+        chain, cur = [], ROOT
+        while len(algo.tree.children[cur]) == 1:
+            cur = algo.tree.children[cur][0]
+            chain.append(cur)
+        assert stick == chain[:-1] and len(stick) == prof.l_s
+        assert algo.bristle_root == prof.bristle_root == cur
+        assert [v for v in range(1, seq.n + 1) if algo.on_stick[v]] == sorted(stick)
+
+    edges = seq.edges
+    if batched:
+        half = len(edges) // 2
+        algo.insert_batch(edges[:half])
+        check([])
+        edges = edges[half:]
+    reruns_on_a_stick = 0
+    for u, v in edges:
+        tree, old = algo.tree, list(stick)
+        algo.insert(u, v)
+        reruns_on_a_stick += bool(old) and algo.tree is not tree
+        check(old)
+    assert reruns_on_a_stick > 0 and len(stick) > 0

@@ -74,9 +74,9 @@ class TestStickHandling:
         for name, mode, prefix in STICK_CASES])
     def test_on_stick_matches_stick_profile(self, name, mode, prefix, monkeypatch):
         # the stick view, resumed below the old stick after every repair
-        # (walked again from the root after an sdfs rerun, a batch's
-        # included), equals a fresh walk down from the root; and no
-        # maintainer walks for ancestry from a marked endpoint
+        # (an sdfs rerun's too, a batch's included), equals a fresh walk
+        # down from the root; and no maintainer walks for ancestry from a
+        # marked endpoint
         seq = gen_gnm(80, 600 if mode == "undirected" else 2000, seed=14, mode=mode)
         algo = make_algorithm(name, 80, mode)
         lca = incdfs.core.lca
@@ -117,7 +117,8 @@ class TestStickHandling:
             grown = check() or grown
         assert grown or mode == "dag"
         if name in ("sdfs", "sdfs-int"):
-            # a rerun replaced a tree that had a stick: the reset ran
+            # a rerun replaced a tree that had a stick, and the marks
+            # resumed at the old bristle root
             assert reruns_on_a_stick > 0
 
     def test_no_stored_edge_touches_stick(self):
